@@ -1,19 +1,19 @@
 //! Differential suite for the cost-based physical planner and pipelined
 //! executor.
 //!
-//! The plan cache routes hot statements through the physical plan
+//! The plan cache routes every statement through the physical plan
 //! (index scans, index joins, streaming residual filters); its contract
-//! is *byte-identical rows* to the legacy materialising interpreter for
-//! every statement the corpus can produce — execution statistics may
-//! legitimately differ between executors, result bytes may not. The
-//! suite also pins that demand-paged serving with persisted index
-//! sections is indistinguishable from in-memory serving, and that
-//! changing a database's index set invalidates its cached plans.
+//! is *byte-identical rows* — or the identical error — to the frozen
+//! interpreter oracle (`tests/golden`) for every statement the corpus
+//! can produce. Execution statistics may legitimately differ between
+//! executors, result bytes may not. The suite also pins that
+//! demand-paged serving with persisted index sections is
+//! indistinguishable from in-memory serving, and that changing a
+//! database's index set invalidates its cached plans.
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqlkit::{parse_select, plan_fingerprint, print_select, PlanCache};
+mod golden;
+
+use sqlkit::{plan_fingerprint, PlanCache};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -24,71 +24,31 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Execute `sql` on the legacy interpreter and through the plan cache's
-/// planned path, asserting identical rows (or identical errors).
-/// Returns whether the statement lowered to a physical plan.
-fn assert_legacy_matches_planned(cache: &PlanCache, db: &sqlkit::Database, sql: &str) -> bool {
-    let legacy = parse_select(sql).map(|stmt| sqlkit::execute_select(db, &stmt));
-    let planned = cache.execute(db, sql);
-    match (legacy, planned) {
-        (Ok(Ok(rs_legacy)), Ok((rs_planned, _))) => {
-            assert_eq!(rs_legacy, rs_planned, "rows differ for {sql}");
-        }
-        (Ok(Err(e_legacy)), Err(e_planned)) => {
-            assert_eq!(e_legacy.to_string(), e_planned.to_string(), "errors differ for {sql}");
-        }
-        (Err(e_legacy), Err(e_planned)) => {
-            assert_eq!(
-                e_legacy.to_string(),
-                e_planned.to_string(),
-                "parse errors differ for {sql}"
-            );
-        }
-        (legacy, planned) => {
-            panic!("outcome class differs for {sql}: legacy={legacy:?} planned={planned:?}")
-        }
-    }
-    cache.prepared(db, sql).map(|p| p.is_planned()).unwrap_or(false)
-}
-
 /// Every gold SQL in the generated corpus (train and dev, every database,
-/// default indexes declared) returns byte-identical rows planned and
-/// legacy — and a healthy share of the corpus actually lowers.
+/// default indexes declared) returns the oracle's rows through the plan
+/// cache — and the planner actually drives indexes on the way.
 #[test]
 fn corpus_gold_sql_matches_legacy_execution() {
-    let bench = datagen::generate(&datagen::Profile::tiny());
+    let cases = golden::load_checked();
+    let dbs = golden::Dbs::build();
     let cache = PlanCache::new(512);
-    let (mut checked, mut planned) = (0usize, 0usize);
-    for ex in bench.train.iter().chain(bench.dev.iter()) {
-        let db = bench.db(&ex.db_id).expect("gold examples reference known dbs");
-        planned += usize::from(assert_legacy_matches_planned(&cache, &db.database, &ex.gold_sql));
-        checked += 1;
-    }
-    assert!(checked >= 50, "corpus covered: {checked}");
-    assert!(
-        planned * 4 >= checked,
-        "planner engagement collapsed: {planned} of {checked} statements lowered"
-    );
+    let ran = golden::run_sections(&cases, &dbs, &["gold"], |db, sql| {
+        cache.execute(db, sql).map(|(rs, _)| rs)
+    });
+    assert!(ran >= 50, "corpus covered: {ran}");
+    assert!(cache.stats().ix_scans > 0, "no corpus statement used an index");
 }
 
 /// Broader SQL surface: sampled query specs across themes and every
-/// difficulty tier, same differential.
+/// difficulty tier, plus the hand-written shapes section, same oracle.
 #[test]
 fn sampled_specs_match_legacy_execution() {
-    let lib = themes();
+    let cases = golden::load_checked();
+    let dbs = golden::Dbs::build();
     let cache = PlanCache::new(512);
-    for (theme_idx, seed) in [(0usize, 11u64), (3, 22), (7, 33), (12, 44), (19, 55)] {
-        let db = build_db(&lib[theme_idx % lib.len()], "diff", "diff", RowScale::tiny(), 0.5, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for difficulty in Difficulty::all() {
-            for _ in 0..6 {
-                if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                    let sql = print_select(&spec.to_sql(&db.database.schema));
-                    assert_legacy_matches_planned(&cache, &db.database, &sql);
-                }
-            }
-        }
-    }
+    golden::run_sections(&cases, &dbs, &["sampled", "shapes"], |db, sql| {
+        cache.execute(db, sql).map(|(rs, _)| rs)
+    });
 }
 
 /// A database round-tripped through a store file (index sections

@@ -1,71 +1,64 @@
-//! Differential tests for the prepared-execution fast path.
+//! Differential tests for the prepared-execution entry points.
 //!
-//! The contract of `prepare` + the plan cache is *zero observable
-//! difference*: for every statement the corpus can produce, the bound,
-//! constant-folded plan must return byte-identical rows **and** identical
+//! The contract of `prepare` is *zero observable difference*: for every
+//! statement the corpus can produce, executing through a [`Prepared`]
+//! plan, through the one-shot `execute_select_with_stats` and through
+//! `Database::query` must return byte-identical rows **and** identical
 //! execution statistics (rows_scanned feeds the vote tie-break and R-VES,
-//! so a drifting counter would silently change answers). Likewise,
-//! refining candidates on N threads must leave every deterministic report
-//! field of a pipeline run unchanged.
+//! so a drifting counter would silently change answers), and those rows
+//! — or that error — must be the frozen interpreter oracle's
+//! (`tests/golden`). Likewise, refining candidates on N threads must
+//! leave every deterministic report field of a pipeline run unchanged.
+//!
+//! [`Prepared`]: sqlkit::Prepared
 
-use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
+mod golden;
+
 use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqlkit::{execute_select_with_stats, parse_select, print_select};
+use sqlkit::{execute_select_with_stats, parse_select, Database, ResultSet, SqlResult};
 use std::sync::Arc;
 
-/// Execute `sql` raw (parse + name-resolving executor) and prepared
-/// (parse + bind + fold once), asserting identical outcomes.
-fn assert_raw_matches_prepared(db: &sqlkit::Database, sql: &str) {
-    let raw = parse_select(sql).map(|stmt| execute_select_with_stats(db, &stmt));
-    let prepared = sqlkit::prepare(db, sql).map(|plan| plan.execute_with_stats(db));
-    match (raw, prepared) {
-        (Ok(Ok((rs_raw, st_raw))), Ok(Ok((rs_pre, st_pre)))) => {
+/// Execute `sql` one-shot, prepared and through `Database::query`,
+/// asserting identical outcomes, and return the shared outcome.
+fn raw_matches_prepared(db: &Database, sql: &str) -> SqlResult<ResultSet> {
+    let raw = parse_select(sql).and_then(|stmt| execute_select_with_stats(db, &stmt));
+    let prepared = sqlkit::prepare(db, sql).and_then(|plan| plan.execute_with_stats(db));
+    let queried = db.query(sql);
+    match (&raw, &prepared, &queried) {
+        (Ok((rs_raw, st_raw)), Ok((rs_pre, st_pre)), Ok(rs_q)) => {
             assert_eq!(rs_raw, rs_pre, "rows differ for {sql}");
             assert_eq!(st_raw, st_pre, "exec stats differ for {sql}");
+            assert_eq!(rs_raw, rs_q, "Database::query rows differ for {sql}");
         }
-        (Ok(Err(e_raw)), Ok(Err(e_pre))) => {
+        (Err(e_raw), Err(e_pre), Err(e_q)) => {
             assert_eq!(e_raw.to_string(), e_pre.to_string(), "errors differ for {sql}");
+            assert_eq!(e_raw.to_string(), e_q.to_string(), "Database::query error differs for {sql}");
         }
-        (Err(e_raw), Err(e_pre)) => {
-            assert_eq!(e_raw.to_string(), e_pre.to_string(), "parse errors differ for {sql}");
-        }
-        (raw, prepared) => panic!("outcome class differs for {sql}: raw={raw:?} prepared={prepared:?}"),
+        (raw, prepared, queried) => panic!(
+            "outcome class differs for {sql}: raw={raw:?} prepared={prepared:?} query={queried:?}"
+        ),
     }
+    raw.map(|(rs, _)| rs)
 }
 
 /// Every gold SQL in the generated corpus (train and dev, every database)
-/// runs identically raw and prepared.
+/// runs identically raw and prepared, with the oracle's outcome.
 #[test]
 fn corpus_gold_sql_matches_raw_execution() {
-    let bench = datagen::generate(&datagen::Profile::tiny());
-    let mut checked = 0usize;
-    for ex in bench.train.iter().chain(bench.dev.iter()) {
-        let db = bench.db(&ex.db_id).expect("gold examples reference known dbs");
-        assert_raw_matches_prepared(&db.database, &ex.gold_sql);
-        checked += 1;
-    }
-    assert!(checked >= 50, "corpus covered: {checked}");
+    let cases = golden::load_checked();
+    let dbs = golden::Dbs::build();
+    let ran = golden::run_sections(&cases, &dbs, &["gold"], raw_matches_prepared);
+    assert!(ran >= 50, "corpus covered: {ran}");
 }
 
 /// Broader SQL surface: sampled query specs across themes and every
-/// difficulty tier, same differential.
+/// difficulty tier, plus the hand-written shapes section, same
+/// differential.
 #[test]
 fn sampled_specs_match_raw_execution() {
-    let lib = themes();
-    for (theme_idx, seed) in [(0usize, 11u64), (3, 22), (7, 33), (12, 44), (19, 55)] {
-        let db = build_db(&lib[theme_idx % lib.len()], "diff", "diff", RowScale::tiny(), 0.5, seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for difficulty in Difficulty::all() {
-            for _ in 0..6 {
-                if let Some(spec) = sample_spec(&db, difficulty, &mut rng) {
-                    let sql = print_select(&spec.to_sql(&db.database.schema));
-                    assert_raw_matches_prepared(&db.database, &sql);
-                }
-            }
-        }
-    }
+    let cases = golden::load_checked();
+    let dbs = golden::Dbs::build();
+    golden::run_sections(&cases, &dbs, &["sampled", "shapes"], raw_matches_prepared);
 }
 
 /// A pipeline refining on one thread and one refining on several must
@@ -104,4 +97,13 @@ fn pipeline_runs_identical_across_refine_threads() {
             assert_eq!(a.ledger.get(m).calls, b.ledger.get(m).calls, "{m:?} calls");
         }
     }
+}
+
+/// Writes the oracle file from the AST interpreter. One-off: run once,
+/// with `OSQL_WRITE_ORACLE=<commit>`, at the commit the file freezes.
+#[test]
+#[ignore]
+fn write_interpreter_oracle() {
+    let commit = std::env::var("OSQL_WRITE_ORACLE").expect("set OSQL_WRITE_ORACLE=<commit>");
+    std::fs::write(golden::path(), golden::generate(&commit)).unwrap();
 }
