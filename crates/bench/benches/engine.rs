@@ -55,18 +55,15 @@ fn bench_exec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Prepared-vs-raw execution: `raw` parses + resolves names every call
-/// (the engine's `query(sql)` path), `cold` pays one prepare (parse +
-/// binding + constant folding) per call, and `warm` serves the plan from a
-/// [`PlanCache`] so each call is pure bound execution.
+/// One-shot vs cached plans: `cold` pays one prepare (parse + binding +
+/// constant folding + lowering) per call, as the engine's `query(sql)`
+/// does, and `warm` serves the plan from a [`PlanCache`] so each call is
+/// pure execution.
 fn bench_prepared(c: &mut Criterion) {
     let built = db();
     let mut group = c.benchmark_group("engine_prepared");
     group.sample_size(100);
     for (name, sql) in CASES {
-        group.bench_function(format!("raw/{name}"), |b| {
-            b.iter(|| std::hint::black_box(built.database.query(sql).unwrap()))
-        });
         group.bench_function(format!("cold/{name}"), |b| {
             b.iter(|| {
                 let plan = sqlkit::prepare(&built.database, sql).unwrap();
@@ -117,7 +114,7 @@ fn bench_prepared(c: &mut Criterion) {
 /// Laboratory's FK index, and `full_scan_fallback` a shape with no
 /// usable index (the planner must not make unindexed scans slower).
 /// `derived.ix_join_speedup` in BENCH_engine.json compares `ix_join`
-/// against the materialising `engine_exec/hash_join` baseline.
+/// against the one-shot `engine_exec/hash_join` baseline.
 fn bench_planner(c: &mut Criterion) {
     let built = db();
     let planner_cases = [

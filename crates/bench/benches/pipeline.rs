@@ -30,24 +30,6 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential vs parallel candidate refinement. The parallel path must
-/// produce byte-identical runs (asserted by pipeline unit tests); this
-/// group measures what the thread pool actually buys on a full beam.
-fn bench_refine_threads(c: &mut Criterion) {
-    let world = World::build(&Profile::tiny());
-    let ex = world.benchmark.dev[0].clone();
-    let mut group = c.benchmark_group("pipeline_refine");
-    group.sample_size(20);
-    for (name, threads) in [("seq_1", 1usize), ("par_4", 4)] {
-        let pipeline = world
-            .pipeline(PipelineConfig::full().with_refine_threads(threads), ModelProfile::gpt_4o());
-        group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(pipeline.answer(&ex.db_id, &ex.question, &ex.evidence)))
-        });
-    }
-    group.finish();
-}
-
 fn bench_alignment(c: &mut Criterion) {
     let world = World::build(&Profile::tiny());
     let db = &world.benchmark.dbs[0];
@@ -110,5 +92,5 @@ fn bench_vote(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_pipeline, bench_refine_threads, bench_alignment, bench_vote);
+criterion_group!(benches, bench_pipeline, bench_alignment, bench_vote);
 criterion_main!(benches);

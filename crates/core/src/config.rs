@@ -70,12 +70,6 @@ pub struct PipelineConfig {
     pub retrieval_top_k: usize,
     /// Maximum correction rounds per candidate.
     pub max_correction_rounds: usize,
-    /// Worker threads for candidate refinement (1 = sequential). Purely a
-    /// throughput knob: results are ordered by candidate index and ledgers
-    /// merged deterministically, so every report field is identical to the
-    /// sequential path.
-    #[serde(default = "default_refine_threads")]
-    pub refine_threads: usize,
     /// Gate candidate execution on the static analyzer: when analysis
     /// proves the exact error a candidate must fail with, skip the
     /// execution and feed the richer diagnostic to correction instead.
@@ -85,10 +79,6 @@ pub struct PipelineConfig {
 
 fn default_true() -> bool {
     true
-}
-
-fn default_refine_threads() -> usize {
-    1
 }
 
 impl Default for PipelineConfig {
@@ -112,7 +102,6 @@ impl Default for PipelineConfig {
             retrieval_threshold: 0.65,
             retrieval_top_k: 5,
             max_correction_rounds: 2,
-            refine_threads: default_refine_threads(),
             analyze_gate: default_true(),
         }
     }
@@ -207,12 +196,6 @@ impl PipelineConfig {
         self.n_candidates = 1;
         self
     }
-
-    /// Refine candidates on `n` worker threads (answers are unchanged).
-    pub fn with_refine_threads(mut self, n: usize) -> Self {
-        self.refine_threads = n.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -243,13 +226,5 @@ mod tests {
         let c = PipelineConfig::full().without_cot();
         assert_eq!(c.cot, CotMode::None);
         assert_eq!(c.gen_fewshot, FewshotMode::QueryCotSql);
-    }
-
-    #[test]
-    fn refine_threads_defaults_to_sequential() {
-        assert_eq!(PipelineConfig::full().refine_threads, 1);
-        assert_eq!(default_refine_threads(), 1, "missing field deserializes to sequential");
-        assert_eq!(PipelineConfig::full().with_refine_threads(0).refine_threads, 1, "clamped");
-        assert_eq!(PipelineConfig::full().with_refine_threads(8).refine_threads, 8);
     }
 }

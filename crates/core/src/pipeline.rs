@@ -121,19 +121,16 @@ impl Pipeline {
         active::end(stage);
         let sql_g = generation.candidates.first().cloned().unwrap_or_default();
 
-        // Refinement (alignments + correction per candidate). Candidates
-        // are independent, so they can refine on worker threads; each one
-        // charges a private ledger and records a private sub-trace, and
-        // both are merged in candidate index order, making every report
-        // field — and the logical trace — identical whether the work ran
-        // on 1 thread or N.
+        // Refinement (alignments + correction per candidate). Each
+        // candidate charges a private ledger and records a private
+        // sub-trace, merged in candidate index order.
         let stage = active::start("stage:refinement");
         let refinement_start = Instant::now();
-        let n = generation.candidates.len();
-        let threads = self.config.refine_threads.max(1).min(n.max(1));
-        let refine_one = |i: usize, ledger: &mut CostLedger| -> (RefinedCandidate, QueryTrace) {
+        let mut candidates = Vec::with_capacity(generation.candidates.len());
+        for (i, candidate) in generation.candidates.iter().enumerate() {
+            let mut local = CostLedger::new();
             active::push();
-            let c = refine_candidate(
+            candidates.push(refine_candidate(
                 &self.pre,
                 self.llm.as_ref(),
                 &self.config,
@@ -141,40 +138,12 @@ impl Pipeline {
                 question,
                 evidence,
                 &extraction,
-                &generation.candidates[i],
+                candidate,
                 generation.raw_texts.get(i).map(String::as_str),
                 i,
-                ledger,
-            );
-            (c, active::pop().expect("refine_one pushed a trace"))
-        };
-        let mut slots: Vec<Option<(RefinedCandidate, CostLedger, QueryTrace)>> =
-            (0..n).map(|_| None).collect();
-        if threads <= 1 || n < 2 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let mut local = CostLedger::new();
-                let (c, t) = refine_one(i, &mut local);
-                *slot = Some((c, local, t));
-            }
-        } else {
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (t, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                    let refine_one = &refine_one;
-                    scope.spawn(move || {
-                        for (off, slot) in chunk_slots.iter_mut().enumerate() {
-                            let mut local = CostLedger::new();
-                            let (c, tr) = refine_one(t * chunk + off, &mut local);
-                            *slot = Some((c, local, tr));
-                        }
-                    });
-                }
-            });
-        }
-        let mut candidates = Vec::with_capacity(n);
-        for slot in slots {
-            let (c, local, sub) = slot.expect("every candidate slot is filled");
-            candidates.push(c);
+                &mut local,
+            ));
+            let sub = active::pop().expect("the candidate's sub-trace was pushed above");
             ledger.merge(&local);
             active::absorb(sub);
         }
@@ -285,30 +254,6 @@ mod tests {
         assert_eq!(run.winner, 0);
         assert_eq!(run.ledger.get(Module::Vote).calls, 0);
         assert_eq!(run.final_sql, run.sql_r);
-    }
-
-    #[test]
-    fn parallel_refinement_matches_sequential() {
-        let seq = pipeline(PipelineConfig::fast());
-        let par = pipeline(PipelineConfig::fast().with_refine_threads(4));
-        for ex in seq.pre.benchmark.dev.clone().iter().take(4) {
-            let a = seq.answer(&ex.db_id, &ex.question, &ex.evidence);
-            let b = par.answer(&ex.db_id, &ex.question, &ex.evidence);
-            assert_eq!(a.sql_g, b.sql_g);
-            assert_eq!(a.sql_r, b.sql_r);
-            assert_eq!(a.final_sql, b.final_sql);
-            assert_eq!(a.winner, b.winner);
-            assert_eq!(a.candidates.len(), b.candidates.len());
-            for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-                assert_eq!(ca.sql, cb.sql);
-                assert_eq!(ca.exec_cost, cb.exec_cost);
-                assert_eq!(ca.correction_rounds, cb.correction_rounds);
-                assert_eq!(ca.result.is_ok(), cb.result.is_ok());
-            }
-            for m in crate::cost::Module::all() {
-                assert_eq!(a.ledger.get(m).tokens, b.ledger.get(m).tokens, "{m:?}");
-            }
-        }
     }
 
     #[test]

@@ -276,10 +276,11 @@ impl Database {
         self.data.values().map(|t| t.rows.len()).sum()
     }
 
-    /// Run a SELECT and materialise the result.
+    /// Run a SELECT and materialise the result: parse, bind, lower and
+    /// execute, without going through any plan cache.
     pub fn query(&self, sql: &str) -> SqlResult<ResultSet> {
-        let stmt = crate::parser::parse_select(sql)?;
-        execute_select(self, &stmt)
+        let prepared = crate::prepare::prepare(self, sql)?;
+        crate::exec::run(self, prepared.statement(), prepared.physical()).map(|(rs, ..)| rs)
     }
 
     /// Run a pre-parsed SELECT.
@@ -304,6 +305,12 @@ impl Database {
                     .ok_or_else(|| SqlError::NoSuchColumn(format!("{}.{}", info.name, c)))
             })
             .collect::<SqlResult<_>>()?;
+        let where_clause =
+            u.where_clause.as_ref().map(|w| crate::prepare::bind_row_expr(&self.schema, &info, w));
+        let targets: Vec<(usize, crate::ast::Expr, TypeName)> = targets
+            .into_iter()
+            .map(|(i, e, ty)| (i, crate::prepare::bind_row_expr(&self.schema, &info, e), ty))
+            .collect();
         let snapshot = self.clone(); // expression context (reads see pre-update state)
         let rows = self
             .data
@@ -311,7 +318,7 @@ impl Database {
             .expect("data bucket exists for every schema table");
         let mut changed = 0usize;
         for row in rows.rows.iter_mut() {
-            let hit = match &u.where_clause {
+            let hit = match &where_clause {
                 Some(w) => crate::exec::eval_in_row(&snapshot, &info, row, w)?
                     .truthiness()
                     == Some(true),
@@ -342,6 +349,8 @@ impl Database {
             .table(&d.table)
             .ok_or_else(|| SqlError::NoSuchTable(d.table.clone()))?
             .clone();
+        let where_clause =
+            d.where_clause.as_ref().map(|w| crate::prepare::bind_row_expr(&self.schema, &info, w));
         let snapshot = self.clone();
         let rows = self
             .data
@@ -353,7 +362,7 @@ impl Database {
             if err.is_some() {
                 return true;
             }
-            match &d.where_clause {
+            match &where_clause {
                 Some(w) => match crate::exec::eval_in_row(&snapshot, &info, row, w) {
                     Ok(v) => v.truthiness() != Some(true),
                     Err(e) => {

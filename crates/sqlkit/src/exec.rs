@@ -1,17 +1,23 @@
-//! Query execution: FROM materialisation, joins, filtering, grouping,
-//! aggregation, projection, set operations, ordering and limits.
+//! Query execution: the statement-level driver every SELECT runs
+//! through, plus grouping, aggregation, projection, set operations,
+//! ordering, limits and expression evaluation.
 //!
-//! The executor is a straightforward materialising interpreter — BIRD-scale
-//! synthetic tables are thousands of rows, far below where vectorisation
-//! would pay off — but equi-joins are hash joins, and every operator
-//! charges a row-visit counter that the Refinement stage's vote rule uses
-//! as a deterministic execution-cost proxy.
+//! A SELECT is parsed, bound ([`crate::prepare`]), lowered to a
+//! [`PhysicalPlan`] ([`crate::plan`]) and run here: each select core's
+//! FROM + WHERE streams through the pipelined executor
+//! (`crate::pipelined`), then this module's shared tail projects,
+//! groups, deduplicates, combines compound cores, orders and limits.
+//! Subqueries take the same path — lowered once per statement execution,
+//! with uncorrelated results memoised. Every operator charges a
+//! row-visit counter that the Refinement stage's vote rule uses as a
+//! deterministic execution-cost proxy.
 
 use crate::ast::*;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::functions::{call_scalar, is_aggregate_name};
-use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
+use crate::plan::{CorePlan, OpStats, PhysicalPlan};
+use crate::value::{NormValue, ResultSet, Row, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,45 +40,31 @@ pub fn execute_select_with_stats(
     db: &Database,
     stmt: &SelectStmt,
 ) -> SqlResult<(ResultSet, ExecStats)> {
-    execute_with_flags(db, stmt, false)
+    let prepared = crate::prepare::prepare_stmt(db, stmt.clone());
+    run(db, prepared.statement(), prepared.physical()).map(|(rs, stats, _)| (rs, stats))
 }
 
-/// Execute a statement that went through the [`crate::prepare`] binding
-/// pass. Identical to [`execute_select_with_stats`] except that runtime
-/// alias substitution in GROUP BY / HAVING is skipped — the binder already
-/// performed it, and re-running it on a substituted tree could substitute
-/// more than a raw execution would.
-pub(crate) fn execute_prepared_with_stats(
+/// Run a bound statement through its plan: the one top-level entry of
+/// every SELECT. Returns the result, the statistics, and per-operator
+/// actuals (one entry per stage plus one residual per core).
+pub(crate) fn run(
     db: &Database,
     stmt: &SelectStmt,
-) -> SqlResult<(ResultSet, ExecStats)> {
-    execute_with_flags(db, stmt, true)
-}
-
-fn execute_with_flags(
-    db: &Database,
-    stmt: &SelectStmt,
-    bound: bool,
-) -> SqlResult<(ResultSet, ExecStats)> {
-    let mut ctx = Ctx {
-        db,
-        rows_scanned: 0,
-        depth: 0,
-        subquery_cache: HashMap::new(),
-        outer: Vec::new(),
-        used_outer: false,
-        bound,
-    };
-    let rs = exec_select(&mut ctx, stmt)?;
+    plan: &PhysicalPlan,
+) -> SqlResult<(ResultSet, ExecStats, Vec<OpStats>)> {
+    let mut ctx = Ctx::new(db);
+    let mut ops = vec![OpStats::default(); plan.n_ops()];
+    let rs = exec_planned(&mut ctx, stmt, plan, &mut ops)?;
     // Depth-0 results are never inserted into the subquery cache, so the
     // Arc is uniquely held here; the fallback clone is unreachable belt
     // and braces.
     let rs = Arc::try_unwrap(rs).unwrap_or_else(|arc| (*arc).clone());
-    Ok((rs, ExecStats { rows_scanned: ctx.rows_scanned }))
+    Ok((rs, ExecStats { rows_scanned: ctx.rows_scanned }, ops))
 }
 
 /// Evaluate an expression against a single table row (used by UPDATE and
-/// DELETE): the layout is the table's own columns, subqueries are allowed.
+/// DELETE, which bind it first): the layout is the table's own columns,
+/// subqueries are allowed.
 pub fn eval_in_row(
     db: &Database,
     table: &crate::schema::TableInfo,
@@ -84,15 +76,7 @@ pub fn eval_in_row(
         .iter()
         .map(|c| ColBinding { binding: table.name.clone(), column: c.name.clone() })
         .collect();
-    let mut ctx = Ctx {
-        db,
-        rows_scanned: 0,
-        depth: 0,
-        subquery_cache: HashMap::new(),
-        outer: Vec::new(),
-        used_outer: false,
-        bound: false,
-    };
+    let mut ctx = Ctx::new(db);
     eval_expr(&mut ctx, e, &layout, row)
 }
 
@@ -101,15 +85,7 @@ pub fn eval_in_row(
 pub fn eval_const(e: &Expr) -> SqlResult<Value> {
     // A dummy database works because const expressions reference no tables.
     let db = Database::new("const");
-    let mut ctx = Ctx {
-        db: &db,
-        rows_scanned: 0,
-        depth: 0,
-        subquery_cache: HashMap::new(),
-        outer: Vec::new(),
-        used_outer: false,
-        bound: false,
-    };
+    let mut ctx = Ctx::new(&db);
     eval_expr(&mut ctx, e, &[], &[])
 }
 
@@ -125,34 +101,27 @@ pub(crate) struct Ctx<'a> {
     /// are shared by `Arc` so a hit costs one refcount bump instead of a
     /// whole-`ResultSet` clone per outer row.
     subquery_cache: HashMap<usize, Arc<ResultSet>>,
+    /// Subquery plans, keyed by AST node address: a subquery is lowered
+    /// once per statement execution, not once per outer row.
+    plans: HashMap<usize, Arc<PhysicalPlan>>,
     /// Enclosing row environments for correlated subqueries, innermost
     /// last: `(layout, row)` snapshots pushed at each subquery eval site.
     outer: Vec<(Vec<ColBinding>, Row)>,
     /// Set when the current (sub)query resolved a column through an outer
     /// environment — i.e. it is correlated and must not be memoised.
     used_outer: bool,
-    /// The statement went through the prepare-time binding pass, which
-    /// already substituted projection aliases into GROUP BY / HAVING.
-    bound: bool,
 }
 
 impl<'a> Ctx<'a> {
-    /// A fresh evaluation context for a prepared (bound) statement — the
-    /// pipelined executor drives residual predicates, semi-join probes,
-    /// and the shared projection tail through one of these.
-    pub(crate) fn for_bound(db: &'a Database) -> Self {
-        // depth starts at 1, as if inside the top-level `exec_select`: a
-        // WHERE subquery then runs at depth 2 and is cached when
-        // uncorrelated, exactly as it would be under the legacy
-        // interpreter.
+    fn new(db: &'a Database) -> Self {
         Ctx {
             db,
             rows_scanned: 0,
-            depth: 1,
+            depth: 0,
             subquery_cache: HashMap::new(),
+            plans: HashMap::new(),
             outer: Vec::new(),
             used_outer: false,
-            bound: true,
         }
     }
 
@@ -185,75 +154,73 @@ impl ColBinding {
     }
 }
 
-/// Rows flowing between FROM, filter, and projection. Base-table scans
-/// borrow straight from [`Database`] storage and FROM-subqueries share the
-/// memoised `Arc<ResultSet>`; only operators that actually produce new
-/// rows (filters, joins) materialise owned vectors.
-pub(crate) enum Rows<'a> {
-    Owned(Vec<Row>),
-    Borrowed(&'a [Row]),
-    Shared(Arc<ResultSet>),
-}
-
-impl Rows<'_> {
-    fn as_slice(&self) -> &[Row] {
-        match self {
-            Rows::Owned(v) => v,
-            Rows::Borrowed(s) => s,
-            Rows::Shared(rs) => &rs.rows,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    fn into_owned(self) -> Vec<Row> {
-        match self {
-            Rows::Owned(v) => v,
-            Rows::Borrowed(s) => s.to_vec(),
-            Rows::Shared(rs) => match Arc::try_unwrap(rs) {
-                Ok(owned) => owned.rows,
-                Err(shared) => shared.rows.clone(),
-            },
-        }
-    }
-}
-
-struct Source<'a> {
-    layout: Vec<ColBinding>,
-    rows: Rows<'a>,
-}
-
-fn exec_select(ctx: &mut Ctx<'_>, stmt: &SelectStmt) -> SqlResult<Arc<ResultSet>> {
+/// Execute a nested SELECT (a subquery, or a FROM subquery): serve it
+/// from the uncorrelated memo, else lower it — once per statement
+/// execution — and run it one level deeper.
+pub(crate) fn exec_select(ctx: &mut Ctx<'_>, stmt: &SelectStmt) -> SqlResult<Arc<ResultSet>> {
     let key = stmt as *const SelectStmt as usize;
-    if ctx.depth > 0 {
-        // only uncorrelated executions ever get inserted, so a hit is safe
-        if let Some(cached) = ctx.subquery_cache.get(&key) {
-            return Ok(Arc::clone(cached));
-        }
+    // only uncorrelated executions ever get inserted, so a hit is safe
+    if let Some(cached) = ctx.subquery_cache.get(&key) {
+        return Ok(Arc::clone(cached));
     }
+    let db = ctx.db;
+    let plan = Arc::clone(
+        ctx.plans.entry(key).or_insert_with(|| Arc::new(crate::plan::lower(db, stmt))),
+    );
+    let mut ops = vec![OpStats::default(); plan.n_ops()];
+    exec_planned(ctx, stmt, &plan, &mut ops)
+}
+
+/// Run `stmt` through `plan` one nesting level deeper, tracking
+/// correlation and memoising uncorrelated nested results.
+fn exec_planned(
+    ctx: &mut Ctx<'_>,
+    stmt: &SelectStmt,
+    plan: &PhysicalPlan,
+    ops: &mut [OpStats],
+) -> SqlResult<Arc<ResultSet>> {
     ctx.depth += 1;
     if ctx.depth > MAX_SUBQUERY_DEPTH {
         return Err(SqlError::Other("subquery nesting too deep".into()));
     }
     let outer_used_before = ctx.used_outer;
     ctx.used_outer = false;
-    let result = exec_select_inner(ctx, stmt).map(Arc::new);
+    let result = exec_select_inner(ctx, stmt, plan, ops).map(Arc::new);
     let correlated = ctx.used_outer;
     ctx.used_outer = outer_used_before || correlated;
     ctx.depth -= 1;
     if ctx.depth > 0 && !correlated {
         if let Ok(rs) = &result {
-            ctx.subquery_cache.insert(key, Arc::clone(rs));
+            ctx.subquery_cache.insert(stmt as *const SelectStmt as usize, Arc::clone(rs));
         }
     }
     result
 }
 
-fn exec_select_inner(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
+/// Run one core: its FROM + WHERE through the pipelined executor, then
+/// the shared projection tail. Returns the projected result plus the
+/// ORDER BY key values (evaluated against the same row/group context).
+fn project_core(
+    ctx: &mut Ctx,
+    core: &SelectCore,
+    plan: &CorePlan,
+    ops: &mut [OpStats],
+    order_by: &[OrderItem],
+) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
+    let rows = crate::pipelined::drive(ctx, plan, core, ops)?;
+    project_filtered(ctx, core, &plan.layout, rows, order_by)
+}
+
+fn exec_select_inner(
+    ctx: &mut Ctx,
+    stmt: &SelectStmt,
+    plan: &PhysicalPlan,
+    ops: &mut [OpStats],
+) -> SqlResult<ResultSet> {
+    let first = &plan.cores[0];
+    let (first_ops, mut rest_ops) = ops.split_at_mut(first.n_ops());
     if stmt.compounds.is_empty() {
-        let (mut rs, mut keys) = project_core(ctx, &stmt.core, &stmt.order_by)?;
+        let (mut rs, mut keys) = project_core(ctx, &stmt.core, first, first_ops, &stmt.order_by)?;
         if !stmt.order_by.is_empty() {
             sort_with_keys(&mut rs.rows, &mut keys, &stmt.order_by);
         }
@@ -261,9 +228,11 @@ fn exec_select_inner(ctx: &mut Ctx, stmt: &SelectStmt) -> SqlResult<ResultSet> {
         return Ok(rs);
     }
     // Compound select: evaluate each core fully, then combine.
-    let (mut rs, _) = project_core(ctx, &stmt.core, &[])?;
-    for (op, core) in &stmt.compounds {
-        let (next, _) = project_core(ctx, core, &[])?;
+    let (mut rs, _) = project_core(ctx, &stmt.core, first, first_ops, &[])?;
+    for ((op, core), core_plan) in stmt.compounds.iter().zip(&plan.cores[1..]) {
+        let (core_ops, tail) = std::mem::take(&mut rest_ops).split_at_mut(core_plan.n_ops());
+        rest_ops = tail;
+        let (next, _) = project_core(ctx, core, core_plan, core_ops, &[])?;
         if next.columns.len() != rs.columns.len() {
             return Err(SqlError::Other(
                 "SELECTs to the left and right of a set operator do not have the same number of result columns".into(),
@@ -360,7 +329,7 @@ fn combine(left: ResultSet, right: ResultSet, op: CompoundOp) -> ResultSet {
     ResultSet { columns, rows }
 }
 
-pub(crate) fn apply_limit(ctx: &mut Ctx, rs: &mut ResultSet, stmt: &SelectStmt) -> SqlResult<()> {
+fn apply_limit(ctx: &mut Ctx, rs: &mut ResultSet, stmt: &SelectStmt) -> SqlResult<()> {
     let eval_n = |ctx: &mut Ctx, e: &Expr| -> SqlResult<i64> {
         let v = eval_expr(ctx, e, &[], &[])?;
         v.as_i64().ok_or_else(|| SqlError::Type("LIMIT/OFFSET must be an integer".into()))
@@ -383,63 +352,14 @@ pub(crate) fn apply_limit(ctx: &mut Ctx, rs: &mut ResultSet, stmt: &SelectStmt) 
 
 // ---------------- core projection ----------------
 
-/// Execute one SELECT core, returning the projected result plus the ORDER BY
-/// key values (evaluated against the same row/group context).
-fn project_core(
-    ctx: &mut Ctx,
-    core: &SelectCore,
-    order_by: &[OrderItem],
-) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
-    let source = match &core.from {
-        Some(from) => build_from(ctx, from)?,
-        None => Source { layout: Vec::new(), rows: Rows::Owned(vec![Vec::new()]) },
-    };
-    let Source { layout, rows: source_rows } = source;
-
-    // WHERE: owned inputs move matching rows through; borrowed or shared
-    // inputs clone only the survivors.
-    let rows: Rows = if let Some(w) = &core.where_clause {
-        if contains_aggregate(w) {
-            return Err(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
-        }
-        let mut kept: Vec<Row> = Vec::with_capacity(source_rows.len().min(1024));
-        match source_rows {
-            Rows::Owned(owned) => {
-                for row in owned {
-                    ctx.rows_scanned += 1;
-                    if eval_expr(ctx, w, &layout, &row)?.truthiness() == Some(true) {
-                        kept.push(row);
-                    }
-                }
-            }
-            other => {
-                for row in other.as_slice() {
-                    ctx.rows_scanned += 1;
-                    if eval_expr(ctx, w, &layout, row)?.truthiness() == Some(true) {
-                        kept.push(row.clone());
-                    }
-                }
-            }
-        }
-        Rows::Owned(kept)
-    } else {
-        ctx.rows_scanned += source_rows.len() as u64;
-        source_rows
-    };
-
-    project_filtered(ctx, core, &layout, rows, order_by)
-}
-
-/// The back half of [`project_core`], from projection-item expansion
-/// onward: everything after FROM + WHERE have produced the filtered row
-/// stream. The pipelined executor joins and filters its own way, then
-/// funnels into this exact code so grouping, projection, DISTINCT, and
-/// ORDER BY keys stay byte-identical with the legacy interpreter.
+/// The back half of a core, from projection-item expansion onward:
+/// everything after the pipelined FROM + WHERE has produced the filtered
+/// row stream — grouping, projection, DISTINCT, and ORDER BY keys.
 pub(crate) fn project_filtered(
     ctx: &mut Ctx,
     core: &SelectCore,
     layout: &[ColBinding],
-    rows: Rows<'_>,
+    rows: Vec<Row>,
     order_by: &[OrderItem],
 ) -> SqlResult<(ResultSet, Vec<Vec<Value>>)> {
     // expand projection items
@@ -461,11 +381,11 @@ pub(crate) fn project_filtered(
         });
 
     let (mut out_rows, mut key_rows) = if needs_group {
-        project_grouped(ctx, core, layout, rows.into_owned(), &items, &order_exprs)?
+        project_grouped(ctx, core, layout, rows, &items, &order_exprs)?
     } else {
         let mut out_rows = Vec::with_capacity(rows.len());
         let mut key_rows = Vec::with_capacity(rows.len());
-        for row in rows.as_slice() {
+        for row in &rows {
             let mut projected = Vec::with_capacity(items.len());
             for (e, _) in &items {
                 projected.push(eval_expr(ctx, e, layout, row)?);
@@ -535,7 +455,7 @@ fn eval_order_keys(
         .collect()
 }
 
-pub(crate) fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, order_by: &[OrderItem]) {
+fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, order_by: &[OrderItem]) {
     let mut idx: Vec<usize> = (0..rows.len()).collect();
     idx.sort_by(|&a, &b| {
         for (k, o) in order_by.iter().enumerate() {
@@ -618,17 +538,9 @@ fn project_grouped(
     items: &[(Expr, String)],
     order_exprs: &[OrderTarget],
 ) -> SqlResult<(Vec<Row>, Vec<Vec<Value>>)> {
-    // GROUP BY and HAVING may reference projection aliases; substitute
-    // them. Prepared statements arrive pre-substituted by the binding
-    // pass, and substituting twice is not idempotent.
-    let (group_by, having): (Vec<Expr>, Option<Expr>) = if ctx.bound {
-        (core.group_by.clone(), core.having.clone())
-    } else {
-        (
-            core.group_by.iter().map(|g| substitute_aliases(g, items)).collect(),
-            core.having.as_ref().map(|h| substitute_aliases(h, items)),
-        )
-    };
+    // The binder already substituted projection aliases into GROUP BY
+    // and HAVING.
+    let (group_by, having) = (&core.group_by, &core.having);
 
     // Partition rows into groups.
     let groups: Vec<Vec<Row>> = if group_by.is_empty() {
@@ -638,7 +550,7 @@ fn project_grouped(
         let mut order: Vec<Vec<NormValue>> = Vec::new();
         for row in rows {
             let mut key = Vec::with_capacity(group_by.len());
-            for g in &group_by {
+            for g in group_by {
                 if contains_aggregate(g) {
                     return Err(SqlError::MisusedAggregate("aggregate in GROUP BY".into()));
                 }
@@ -664,7 +576,7 @@ fn project_grouped(
         if group.is_empty() && !group_by.is_empty() {
             continue;
         }
-        if let Some(h) = &having {
+        if let Some(h) = having {
             if eval_agg_expr(ctx, h, layout, group)?.truthiness() != Some(true) {
                 continue;
             }
@@ -873,97 +785,7 @@ fn eval_aggregate(
     }
 }
 
-// ---------------- FROM / joins ----------------
-
-fn build_from<'a>(ctx: &mut Ctx<'a>, from: &FromClause) -> SqlResult<Source<'a>> {
-    let mut acc = scan_table_ref(ctx, &from.base)?;
-    for join in &from.joins {
-        let right = scan_table_ref(ctx, &join.table)?;
-        acc = join_sources(ctx, acc, right, join)?;
-    }
-    Ok(acc)
-}
-
-fn scan_table_ref<'a>(ctx: &mut Ctx<'a>, tref: &TableRef) -> SqlResult<Source<'a>> {
-    match tref {
-        TableRef::Named { name, alias, .. } => {
-            // copy the `&'a Database` out so the borrow of table storage
-            // outlives this `&mut ctx` borrow
-            let db = ctx.db;
-            let info = db
-                .schema
-                .table(name)
-                .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
-            let binding = alias.clone().unwrap_or_else(|| info.name.clone());
-            let layout = info
-                .columns
-                .iter()
-                .map(|c| ColBinding { binding: binding.clone(), column: c.name.clone() })
-                .collect();
-            let rows = db.rows(&info.name)?;
-            ctx.rows_scanned += rows.len() as u64;
-            Ok(Source { layout, rows: Rows::Borrowed(rows) })
-        }
-        TableRef::Subquery { query, alias } => {
-            let rs = exec_select(ctx, query)?;
-            let layout = rs
-                .columns
-                .iter()
-                .map(|c| ColBinding { binding: alias.clone(), column: c.clone() })
-                .collect();
-            let rows = match Arc::try_unwrap(rs) {
-                Ok(owned) => Rows::Owned(owned.rows),
-                Err(shared) => Rows::Shared(shared),
-            };
-            Ok(Source { layout, rows })
-        }
-    }
-}
-
-fn join_sources<'a>(
-    ctx: &mut Ctx<'a>,
-    left: Source<'a>,
-    right: Source<'a>,
-    join: &Join,
-) -> SqlResult<Source<'a>> {
-    let mut layout = left.layout.clone();
-    layout.extend(right.layout.iter().cloned());
-
-    // Try a hash join for `left.col = right.col` equi-joins.
-    if matches!(join.kind, JoinKind::Inner | JoinKind::Left) {
-        if let Some(on) = &join.on {
-            if let Some((li, ri)) = equi_join_indices(on, &left.layout, &right.layout) {
-                return hash_join(ctx, left, right, layout, li, ri, join.kind);
-            }
-        }
-    }
-
-    // Fallback: nested loop.
-    let mut rows = Vec::new();
-    for lrow in left.rows.as_slice() {
-        let mut matched = false;
-        for rrow in right.rows.as_slice() {
-            ctx.rows_scanned += 1;
-            let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-            combined.extend(lrow.iter().cloned());
-            combined.extend(rrow.iter().cloned());
-            let keep = match &join.on {
-                Some(on) => eval_expr(ctx, on, &layout, &combined)?.truthiness() == Some(true),
-                None => true,
-            };
-            if keep {
-                matched = true;
-                rows.push(combined);
-            }
-        }
-        if join.kind == JoinKind::Left && !matched {
-            let mut combined = lrow.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right.layout.len()));
-            rows.push(combined);
-        }
-    }
-    Ok(Source { layout, rows: Rows::Owned(rows) })
-}
+// ---------------- joins ----------------
 
 /// Detect `a.x = b.y` where `a.x` resolves purely in the left layout and
 /// `b.y` purely in the right (or swapped). Returns (left index, right index).
@@ -989,7 +811,7 @@ pub(crate) fn equi_join_indices(
         });
         let first = hits.next()?;
         if hits.next().is_some() {
-            return None; // ambiguous, let the nested loop resolver error out
+            return None; // ambiguous, let the nested loop's resolver error out
         }
         Some(first.0)
     };
@@ -1002,57 +824,12 @@ pub(crate) fn equi_join_indices(
     }
 }
 
-fn hash_join<'a>(
-    ctx: &mut Ctx<'a>,
-    left: Source<'a>,
-    right: Source<'a>,
-    layout: Vec<ColBinding>,
-    li: usize,
-    ri: usize,
-    kind: JoinKind,
-) -> SqlResult<Source<'a>> {
-    let right_rows = right.rows.as_slice();
-    // Keyed by the borrowed normal form: build and probe never allocate,
-    // where a `NormValue` key would clone every text join key per probe
-    // row (the prepared-path regression on three_way_join_agg).
-    let mut index: HashMap<NormRef<'_>, Vec<usize>> = HashMap::with_capacity(right_rows.len());
-    for (i, row) in right_rows.iter().enumerate() {
-        let key = &row[ri];
-        if !key.is_null() {
-            index.entry(key.normalized_ref()).or_default().push(i);
-        }
-    }
-    let left_rows = left.rows.as_slice();
-    let mut rows = Vec::with_capacity(left_rows.len());
-    for lrow in left_rows {
-        ctx.rows_scanned += 1;
-        let key = &lrow[li];
-        let matches = if key.is_null() { None } else { index.get(&key.normalized_ref()) };
-        match matches {
-            Some(idxs) if !idxs.is_empty() => {
-                for &i in idxs {
-                    ctx.rows_scanned += 1;
-                    let mut combined = Vec::with_capacity(lrow.len() + right_rows[i].len());
-                    combined.extend(lrow.iter().cloned());
-                    combined.extend(right_rows[i].iter().cloned());
-                    rows.push(combined);
-                }
-            }
-            _ => {
-                if kind == JoinKind::Left {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right.layout.len()));
-                    rows.push(combined);
-                }
-            }
-        }
-    }
-    Ok(Source { layout, rows: Rows::Owned(rows) })
-}
-
 // ---------------- expression evaluation ----------------
 
-fn resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> SqlResult<usize> {
+/// Resolve a column reference against a row layout: qualified
+/// references take the first `(binding, column)` match, unqualified ones
+/// must match a unique column.
+pub(crate) fn resolve(layout: &[ColBinding], table: Option<&str>, column: &str) -> SqlResult<usize> {
     match table {
         Some(t) => {
             let mut hits = layout.iter().enumerate().filter(|(_, b)| {
@@ -1546,7 +1323,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_nested_loop() {
+    fn equi_join_matches_nested_loop() {
         let db = clinic();
         let hash = q(&db, "SELECT P.Name, L.IGA FROM Patient P INNER JOIN Laboratory L ON P.ID = L.ID");
         let nested = q(

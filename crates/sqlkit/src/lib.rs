@@ -5,9 +5,12 @@
 //!
 //! - a tokenizer, recursive-descent [`parser`], and printable [`ast`] for a
 //!   SQLite-style dialect covering what BIRD/Spider gold SQL exercises;
-//! - an in-memory [`db::Database`] with typed tables and a
-//!   materialising [`exec`] executor (hash equi-joins, grouping,
-//!   aggregates, set operations, subqueries);
+//! - an in-memory [`db::Database`] with typed tables and one SELECT
+//!   executor: every statement is bound ([`prepare`]), lowered to a
+//!   cost-based physical [`plan`] (index scans, hash / index / nested-loop
+//!   joins) and streamed through a pipelined FROM + WHERE before the
+//!   shared [`exec`] tail (grouping, aggregates, set operations,
+//!   subqueries);
 //! - SQLite-faithful [`value`] semantics: dynamic typing, three-valued
 //!   logic, NULL-first ordering, and the Python-style `1 == 1.0` result
 //!   normalisation that BIRD's scorer applies;

@@ -1,6 +1,8 @@
-//! The pipelined executor: streams tuples depth-first through a
-//! [`PhysicalPlan`]'s stages instead of materialising every intermediate
-//! join result.
+//! The pipelined executor: streams tuples depth-first through a core's
+//! [`CorePlan`] stages instead of materialising every intermediate join
+//! result. It is the FROM + WHERE front half of every SELECT sqlkit runs;
+//! projection, grouping, DISTINCT, ORDER BY and LIMIT follow in the
+//! shared tail ([`exec::project_filtered`]).
 //!
 //! One reusable tuple buffer flows through the stage chain: the base
 //! stage pushes a row's values, each join stage appends its matches (or
@@ -10,48 +12,67 @@
 //! pipeline allocation-free per tuple except for the rows that actually
 //! survive.
 //!
-//! Emission order is byte-identical to the legacy interpreter: base rows
-//! are visited in rid order, hash matches in build (= rid) order, and
-//! index equality runs are rid-ascending by construction, so the final
-//! tuple stream is exactly the one `exec::project_core` would have
-//! produced. Projection, grouping, DISTINCT, ORDER BY, and LIMIT then
-//! run through the *shared* back half of the legacy executor
-//! ([`exec::project_filtered`]) — the pipelined path only replaces
-//! FROM + WHERE.
+//! Emission order is the nested-loop order SQL's FROM clause defines:
+//! base rows are visited in rid order, hash matches in build (= rid)
+//! order, index equality runs are rid-ascending by construction, and a
+//! nested-loop stage tries its rows in rid order per accumulated tuple.
+//! Stage sources are resolved in FROM order before any tuple flows, so a
+//! missing table or a failing FROM subquery raises its error first —
+//! unless an earlier nested-loop ON fails, which surfaces before it, as
+//! a join computed stage by stage would have it.
 //!
-//! Residual conjuncts follow the legacy AND protocol exactly: a `false`
+//! Residual conjuncts follow SQL's AND protocol exactly: a `false`
 //! stops evaluation and drops the tuple, a NULL marks the tuple dropped
 //! but keeps evaluating later conjuncts (so their runtime errors still
 //! surface), and whole-conjunct `IN (SELECT ...)` / `EXISTS` steps
 //! upgrade to cached semi-joins once a first probe proves the subquery
 //! uncorrelated.
 
-use crate::ast::{Expr, JoinKind, SelectStmt};
-use crate::db::Database;
+use crate::ast::{Expr, JoinKind, SelectCore, TableRef};
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{self, ColBinding, Ctx, ExecStats, Rows};
+use crate::exec::{self, ColBinding, Ctx};
 use crate::index::ColumnIndex;
-use crate::plan::{Access, JoinOp, OpStats, PhysicalPlan, ResidualStep};
+use crate::plan::{Access, CorePlan, JoinOp, OpStats, ResidualStep, Sarg, Source, Stage};
 use crate::value::{NormRef, NormValue, ResultSet, Row, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Runtime form of one stage: the borrowed table rows plus the access /
-/// join machinery resolved against the live database.
-struct StageRt<'d> {
-    rows: &'d [Row],
-    op: OpRt<'d>,
+/// The rows a stage reads: borrowed table storage or a materialised
+/// FROM subquery.
+enum StageRows<'d> {
+    Table(&'d [Row]),
+    Derived(Arc<ResultSet>),
 }
 
-enum OpRt<'d> {
+impl StageRows<'_> {
+    fn slice(&self) -> &[Row] {
+        match self {
+            StageRows::Table(rows) => rows,
+            StageRows::Derived(rs) => &rs.rows,
+        }
+    }
+}
+
+/// Runtime form of one stage: the stage's rows plus the access / join
+/// machinery resolved against the live database.
+struct StageRt<'s> {
+    rows: &'s [Row],
+    /// The IxScan sarg, when its index was unusable and the stage fell
+    /// back to a full scan.
+    degraded: Option<&'s Sarg>,
+    op: OpRt<'s>,
+}
+
+enum OpRt<'s> {
     /// Base stage: iterate all rows or an index-provided rid list.
     Scan { rids: Option<Vec<u32>> },
     /// Equi join: hash table over the stage's filtered rows.
-    Hash { left_key: usize, map: HashMap<NormRef<'d>, Vec<u32>> },
+    Hash { left_key: usize, map: HashMap<NormRef<'s>, Vec<u32>> },
     /// Equi join probing the column's secondary index per tuple.
     Ix { left_key: usize, right_key: usize, ix: Arc<ColumnIndex> },
-    /// Nested-loop cross product over a pre-filtered rid list.
-    Cross { rids: Vec<u32> },
+    /// Nested loop over a pre-filtered rid list, with the ON predicate
+    /// evaluated per pair (`None` for a cross product).
+    Loop { rids: Vec<u32>, on: Option<&'s Expr> },
 }
 
 /// Lazily-classified state of one `Semi` residual step.
@@ -59,7 +80,7 @@ enum SemiState {
     /// No probe has run yet.
     Unknown,
     /// The subquery reads the outer row: evaluate per tuple through the
-    /// legacy expression evaluator.
+    /// expression evaluator.
     Correlated,
     /// Uncorrelated `IN (SELECT ...)`: one materialised result, probed
     /// via normalised hash set when every value hashes consistently
@@ -81,134 +102,174 @@ fn hash_safe(v: &Value) -> bool {
     }
 }
 
+/// The FROM item stage `k` of `core` reads.
+fn table_ref(core: &SelectCore, k: usize) -> &TableRef {
+    let from = core.from.as_ref().expect("a core with stages has a FROM clause");
+    match k {
+        0 => &from.base,
+        k => &from.joins[k - 1].table,
+    }
+}
 
-/// Execute `plan` against `db`, returning `None` when an index the plan
-/// relies on is unusable at execution time (the caller falls back to the
-/// legacy interpreter). `stmt` is the bound statement the plan was
-/// lowered from — its projection/ORDER BY/LIMIT clauses drive the shared
-/// tail.
-pub(crate) fn execute(
-    db: &Database,
-    plan: &PhysicalPlan,
-    stmt: &SelectStmt,
-) -> SqlResult<Option<(ResultSet, ExecStats, Vec<OpStats>)>> {
-    let mut ctx = Ctx::for_bound(db);
-    let mut ops = plan.op_templates();
-
-    // ---- resolve stages against live data (may bail to legacy) ----
-    let mut stages: Vec<StageRt<'_>> = Vec::with_capacity(plan.stages.len());
+/// Run one core's FROM + WHERE, returning the tuples that survive the
+/// residual filter in emission order. `ops` receives one entry per stage
+/// plus one for the residual filter.
+pub(crate) fn drive(
+    ctx: &mut Ctx<'_>,
+    plan: &CorePlan,
+    core: &SelectCore,
+    ops: &mut [OpStats],
+) -> SqlResult<Vec<Row>> {
+    // ---- resolve stage sources in FROM order ----
+    let db = ctx.db;
+    let mut sources: Vec<StageRows<'_>> = Vec::with_capacity(plan.stages.len());
+    let mut failure = None;
     for (k, st) in plan.stages.iter().enumerate() {
-        let rows = db.rows(&st.table)?;
-        let access_rids = match &st.access {
-            Access::FullScan => None,
-            Access::IxScan(sarg) => {
-                let Some(ix) = db.index(&st.table, &sarg.column) else {
-                    return Ok(None);
-                };
-                let Some(rids) = sarg.lookup(&ix) else {
-                    return Ok(None);
-                };
-                ops[k].seeks += 1;
-                Some(rids)
-            }
-        };
-        // planned-path cost accounting: an access charges the rows it
-        // reads (the whole table for a scan, the rid list for an index
-        // lookup); IxJoin stages charge per probe instead.
-        let op = match &st.join {
-            None => {
-                ctx.rows_scanned +=
-                    access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
-                OpRt::Scan { rids: access_rids }
-            }
-            Some(JoinOp::Hash { left_key, right_key }) => {
-                ctx.rows_scanned +=
-                    access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
-                let mut map: HashMap<NormRef<'_>, Vec<u32>> = HashMap::new();
-                let mut build = |rid: u32, row: &'_ Row| {
-                    if !st.filters.iter().all(|f| f.matches(&row[f.col])) {
-                        return;
-                    }
-                    let key = &rows[rid as usize][*right_key];
-                    if !key.is_null() {
-                        map.entry(key.normalized_ref()).or_default().push(rid);
-                    }
-                };
-                match &access_rids {
-                    Some(rids) => {
-                        for &rid in rids {
-                            build(rid, &rows[rid as usize]);
-                        }
-                    }
-                    None => {
-                        for (rid, row) in rows.iter().enumerate() {
-                            build(rid as u32, row);
-                        }
-                    }
+        let rows = match &st.source {
+            Source::Table(name) => db.rows(name).map(StageRows::Table),
+            Source::Subquery => match table_ref(core, k) {
+                TableRef::Subquery { query, .. } => {
+                    exec::exec_select(ctx, query).map(StageRows::Derived)
                 }
-                OpRt::Hash { left_key: *left_key, map }
-            }
-            Some(JoinOp::IxJoin { left_key, right_key, column }) => {
-                let Some(ix) = db.index(&st.table, column) else {
-                    return Ok(None);
-                };
-                OpRt::Ix { left_key: *left_key, right_key: *right_key, ix }
-            }
-            Some(JoinOp::Cross) => {
-                ctx.rows_scanned +=
-                    access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
-                let rids: Vec<u32> = match access_rids {
-                    Some(rids) => rids
-                        .into_iter()
-                        .filter(|&rid| {
-                            let row = &rows[rid as usize];
-                            st.filters.iter().all(|f| f.matches(&row[f.col]))
-                        })
-                        .collect(),
-                    None => (0..rows.len() as u32)
-                        .filter(|&rid| {
-                            let row = &rows[rid as usize];
-                            st.filters.iter().all(|f| f.matches(&row[f.col]))
-                        })
-                        .collect(),
-                };
-                OpRt::Cross { rids }
-            }
+                TableRef::Named { .. } => unreachable!("subquery stages lower from subqueries"),
+            },
         };
-        stages.push(StageRt { rows, op });
+        match rows {
+            Ok(rows) => sources.push(rows),
+            Err(e) => {
+                failure = Some(e);
+                break;
+            }
+        }
+    }
+    if failure.is_none() && plan.where_aggregate {
+        failure = Some(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
     }
 
-    // ---- drive the pipeline ----
+    // ---- access paths and join machinery ----
+    let stages: Vec<StageRt<'_>> = plan
+        .stages
+        .iter()
+        .zip(&sources)
+        .enumerate()
+        .map(|(k, (st, rows))| build_stage(ctx, st, rows.slice(), &mut ops[k]))
+        .collect();
+
     let mut mu = MutState {
-        ops: &mut ops,
+        ops,
         semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
         out: Vec::new(),
+        discard: failure.is_some(),
     };
     let mut buf: Vec<Value> = Vec::with_capacity(plan.layout.len());
-    step(&mut ctx, plan, &stages, &mut mu, 0, &mut buf)?;
-    let out = mu.out;
-
-    // ---- shared legacy tail: projection / grouping / order / limit ----
-    let (mut rs, mut keys) =
-        exec::project_filtered(&mut ctx, &stmt.core, &plan.layout, Rows::Owned(out), &stmt.order_by)?;
-    if !stmt.order_by.is_empty() {
-        exec::sort_with_keys(&mut rs.rows, &mut keys, &stmt.order_by);
+    if let Some(e) = failure {
+        // A failure while building FROM surfaces after the joins before
+        // it: drive the built prefix so a failing nested-loop ON there
+        // reports first.
+        if plan.stages[..stages.len()].iter().any(|st| matches!(st.join, Some(JoinOp::Nested(_)))) {
+            step(ctx, plan, &stages, &mut mu, 0, &mut buf)?;
+        }
+        return Err(e);
     }
-    exec::apply_limit(&mut ctx, &mut rs, stmt)?;
-    Ok(Some((rs, ExecStats { rows_scanned: ctx.rows_scanned }, ops)))
+    step(ctx, plan, &stages, &mut mu, 0, &mut buf)?;
+    Ok(mu.out)
+}
+
+/// Does a stage row pass the stage's pushed predicates? `degraded` is
+/// the IxScan sarg when its index was unusable.
+fn passes(st: &Stage, degraded: Option<&Sarg>, row: &Row) -> bool {
+    degraded.is_none_or(|s| s.matches(&row[s.col]))
+        && st.filters.iter().all(|f| f.matches(&row[f.col]))
+}
+
+/// Resolve one stage's access path and join operator against live data.
+/// Accesses charge the rows they read (the whole table for a scan, the
+/// rid list for an index lookup); IxJoin stages charge per probe instead.
+fn build_stage<'s>(
+    ctx: &mut Ctx<'_>,
+    st: &'s Stage,
+    rows: &'s [Row],
+    op: &mut OpStats,
+) -> StageRt<'s> {
+    let db = ctx.db;
+    // a missing or unusable index degrades to a full scan that applies
+    // the sarg itself
+    let (access_rids, degraded) = match (&st.access, st.table()) {
+        (Access::IxScan(sarg), Some(table)) => {
+            match db.index(table, &sarg.column).and_then(|ix| sarg.lookup(&ix)) {
+                Some(rids) => {
+                    op.seeks += 1;
+                    (Some(rids), None)
+                }
+                None => (None, Some(sarg)),
+            }
+        }
+        (Access::IxScan(sarg), None) => (None, Some(sarg)),
+        (Access::FullScan, _) => (None, None),
+    };
+    let scanned = access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
+    let filtered = |access_rids: Option<Vec<u32>>| -> Vec<u32> {
+        match access_rids {
+            Some(rids) => rids.into_iter().filter(|&rid| passes(st, None, &rows[rid as usize])).collect(),
+            None => (0..rows.len() as u32)
+                .filter(|&rid| passes(st, degraded, &rows[rid as usize]))
+                .collect(),
+        }
+    };
+    let hash = |left_key: usize, right_key: usize, access_rids: Option<Vec<u32>>| {
+        let mut map: HashMap<NormRef<'_>, Vec<u32>> = HashMap::new();
+        for rid in filtered(access_rids) {
+            let key = &rows[rid as usize][right_key];
+            if !key.is_null() {
+                map.entry(key.normalized_ref()).or_default().push(rid);
+            }
+        }
+        OpRt::Hash { left_key, map }
+    };
+    let op = match &st.join {
+        None => {
+            ctx.rows_scanned += scanned;
+            OpRt::Scan { rids: access_rids }
+        }
+        Some(JoinOp::Hash { left_key, right_key }) => {
+            ctx.rows_scanned += scanned;
+            hash(*left_key, *right_key, access_rids)
+        }
+        Some(JoinOp::IxJoin { left_key, right_key, column }) => {
+            match st.table().and_then(|t| db.index(t, column)) {
+                Some(ix) => OpRt::Ix { left_key: *left_key, right_key: *right_key, ix },
+                None => {
+                    ctx.rows_scanned += rows.len() as u64;
+                    hash(*left_key, *right_key, None)
+                }
+            }
+        }
+        Some(JoinOp::Cross) => {
+            ctx.rows_scanned += scanned;
+            OpRt::Loop { rids: filtered(access_rids), on: None }
+        }
+        Some(JoinOp::Nested(on)) => {
+            ctx.rows_scanned += scanned;
+            OpRt::Loop { rids: filtered(access_rids), on: Some(on) }
+        }
+    };
+    StageRt { rows, degraded, op }
 }
 
 /// Mutable execution state threaded through the recursive drive,
 /// separate from the immutable stage data so the borrows never fight.
 struct MutState<'o> {
-    ops: &'o mut Vec<OpStats>,
+    ops: &'o mut [OpStats],
     semi: Vec<SemiState>,
     out: Vec<Row>,
+    /// Drive for the joins' side effects (errors) only: finished tuples
+    /// are dropped unfiltered.
+    discard: bool,
 }
 
 fn step(
     ctx: &mut Ctx<'_>,
-    plan: &PhysicalPlan,
+    plan: &CorePlan,
     stages: &[StageRt<'_>],
     mu: &mut MutState<'_>,
     k: usize,
@@ -219,33 +280,36 @@ fn step(
     }
     let st = &plan.stages[k];
     let rt = &stages[k];
-    let base = buf.len();
+    let descend = |ctx: &mut Ctx<'_>,
+                       mu: &mut MutState<'_>,
+                       buf: &mut Vec<Value>,
+                       row: Option<&Row>|
+     -> SqlResult<()> {
+        // `None` is the NULL pad of an unmatched LEFT JOIN tuple
+        let base = buf.len();
+        mu.ops[k].actual_rows += 1;
+        match row {
+            Some(row) => buf.extend(row.iter().cloned()),
+            None => buf.extend(std::iter::repeat_n(Value::Null, st.width)),
+        }
+        let r = step(ctx, plan, stages, mu, k + 1, buf);
+        buf.truncate(base);
+        r
+    };
+    let left_pad = st.kind == JoinKind::Left;
     match &rt.op {
-        OpRt::Scan { rids } => {
-            let emit = |ctx: &mut Ctx<'_>,
-                            mu: &mut MutState<'_>,
-                            buf: &mut Vec<Value>,
-                            row: &Row|
-             -> SqlResult<()> {
-                if !st.filters.iter().all(|f| f.matches(&row[f.col])) {
-                    return Ok(());
+        OpRt::Scan { rids: Some(rids) } => {
+            for &rid in rids {
+                let row = &rt.rows[rid as usize];
+                if passes(st, None, row) {
+                    descend(ctx, mu, buf, Some(row))?;
                 }
-                mu.ops[k].actual_rows += 1;
-                buf.extend(row.iter().cloned());
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r
-            };
-            match rids {
-                Some(rids) => {
-                    for &rid in rids {
-                        emit(ctx, mu, buf, &rt.rows[rid as usize])?;
-                    }
-                }
-                None => {
-                    for row in rt.rows {
-                        emit(ctx, mu, buf, row)?;
-                    }
+            }
+        }
+        OpRt::Scan { rids: None } => {
+            for row in rt.rows {
+                if passes(st, rt.degraded, row) {
+                    descend(ctx, mu, buf, Some(row))?;
                 }
             }
         }
@@ -260,22 +324,11 @@ fn step(
                 Some(rids) if !rids.is_empty() => {
                     for &rid in rids {
                         ctx.rows_scanned += 1;
-                        mu.ops[k].actual_rows += 1;
-                        buf.extend(rt.rows[rid as usize].iter().cloned());
-                        let r = step(ctx, plan, stages, mu, k + 1, buf);
-                        buf.truncate(base);
-                        r?;
+                        descend(ctx, mu, buf, Some(&rt.rows[rid as usize]))?;
                     }
                 }
-                _ => {
-                    if st.kind == JoinKind::Left {
-                        mu.ops[k].actual_rows += 1;
-                        buf.extend(std::iter::repeat_n(Value::Null, st.width));
-                        let r = step(ctx, plan, stages, mu, k + 1, buf);
-                        buf.truncate(base);
-                        r?;
-                    }
-                }
+                _ if left_pad => descend(ctx, mu, buf, None)?,
+                _ => {}
             }
         }
         OpRt::Ix { left_key, right_key, ix } => {
@@ -295,41 +348,37 @@ fn step(
                 }
                 let row = &rt.rows[*rid as usize];
                 debug_assert_eq!(v, &row[*right_key]);
-                if !st.filters.iter().all(|f| f.matches(&row[f.col])) {
+                if !passes(st, None, row) {
                     continue;
                 }
                 ctx.rows_scanned += 1;
                 matched = true;
-                mu.ops[k].actual_rows += 1;
-                buf.extend(row.iter().cloned());
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r?;
+                descend(ctx, mu, buf, Some(row))?;
             }
-            if !matched && st.kind == JoinKind::Left {
-                mu.ops[k].actual_rows += 1;
-                buf.extend(std::iter::repeat_n(Value::Null, st.width));
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r?;
+            if !matched && left_pad {
+                descend(ctx, mu, buf, None)?;
             }
         }
-        OpRt::Cross { rids } => {
-            if rids.is_empty() && st.kind == JoinKind::Left {
-                mu.ops[k].actual_rows += 1;
-                buf.extend(std::iter::repeat_n(Value::Null, st.width));
-                let r = step(ctx, plan, stages, mu, k + 1, buf);
-                buf.truncate(base);
-                r?;
-            } else {
-                for &rid in rids {
-                    ctx.rows_scanned += 1;
-                    mu.ops[k].actual_rows += 1;
-                    buf.extend(rt.rows[rid as usize].iter().cloned());
-                    let r = step(ctx, plan, stages, mu, k + 1, buf);
+        OpRt::Loop { rids, on } => {
+            let mut matched = false;
+            for &rid in rids {
+                ctx.rows_scanned += 1;
+                let row = &rt.rows[rid as usize];
+                if let Some(on) = on {
+                    let base = buf.len();
+                    buf.extend(row.iter().cloned());
+                    // an ON error aborts the whole drive, buffer and all
+                    let v = exec::eval_expr(ctx, on, &plan.layout[..buf.len()], buf)?;
                     buf.truncate(base);
-                    r?;
+                    if v.truthiness() != Some(true) {
+                        continue;
+                    }
                 }
+                matched = true;
+                descend(ctx, mu, buf, Some(row))?;
+            }
+            if !matched && left_pad {
+                descend(ctx, mu, buf, None)?;
             }
         }
     }
@@ -337,15 +386,18 @@ fn step(
 }
 
 /// Run the residual chain on a finished tuple and keep it if it
-/// survives. Implements the legacy AND protocol: `false` stops and
+/// survives. Implements SQL's AND protocol: `false` stops and
 /// drops, NULL marks the tuple dropped but keeps evaluating (error
 /// fidelity), anything else continues.
 fn finish(
     ctx: &mut Ctx<'_>,
-    plan: &PhysicalPlan,
+    plan: &CorePlan,
     mu: &mut MutState<'_>,
     buf: &[Value],
 ) -> SqlResult<()> {
+    if mu.discard {
+        return Ok(());
+    }
     ctx.rows_scanned += 1;
     let mut dropped = false;
     let mut semi_idx = 0;
@@ -389,8 +441,8 @@ fn eval_semi(
         Expr::InSubquery { expr, query, negated } => {
             let v = exec::eval_expr(ctx, expr, layout, tuple)?;
             if v.is_null() {
-                // legacy skips the subquery entirely on a NULL operand,
-                // so the state stays unclassified
+                // a NULL operand skips the subquery entirely, so the
+                // state stays unclassified
                 return Ok(Value::Null);
             }
             if matches!(state, SemiState::Unknown) {
@@ -407,7 +459,7 @@ fn eval_semi(
                 if correlated {
                     *state = SemiState::Correlated;
                     // this probe's result set is already in hand —
-                    // evaluate it directly, exactly as legacy would
+                    // evaluate it directly
                     return Ok(in_scan(&v, &rs.rows, *negated));
                 }
                 let mut has_null = false;
@@ -469,7 +521,7 @@ fn eval_semi(
     }
 }
 
-/// The legacy interpreter's linear IN probe: first `sql_eq` hit wins,
+/// The expression evaluator's linear IN probe: first `sql_eq` hit wins,
 /// NULL comparisons remembered for the three-valued miss.
 fn in_scan(v: &Value, rows: &[Row], negated: bool) -> Value {
     let mut saw_null = false;

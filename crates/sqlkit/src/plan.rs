@@ -2,39 +2,40 @@
 //! explicit [`PhysicalPlan`] executed by the pipelined executor
 //! (`crate::pipelined`).
 //!
-//! The lowering walks the FROM chain left to right, turning each table
-//! into a [`Stage`]. Sargable conjuncts of the WHERE clause (`col = lit`,
+//! [`lower`] is total: every statement the binder accepts gets a plan,
+//! and that plan is the only way sqlkit runs a SELECT. Each select core
+//! (a compound select has several) lowers on its own. The lowering walks
+//! the FROM chain left to right, turning each table or FROM subquery into
+//! a [`Stage`]; a FROM-less core has no stages and runs once over one
+//! zero-width row. Sargable conjuncts of the WHERE clause (`col = lit`,
 //! `col < lit`, `BETWEEN`, `IN (lits)`, `IS NULL`) are extracted and
 //! pushed down to the stage that owns the column; everything else stays
 //! in the ordered residual chain, which the executor evaluates per output
-//! tuple with the legacy interpreter's exact three-valued-logic
-//! semantics. Access paths (`FullScan` vs `IxScan`) and join operators
-//! (`HashJoin` vs `IxJoin` vs nested-loop cross) are chosen by comparing
-//! cost estimates derived from table row counts and secondary-index
-//! selectivity ([`crate::index::ColumnIndex`]).
+//! tuple with SQL's three-valued-logic AND semantics. Access paths
+//! (`FullScan` vs `IxScan`) and join operators (`HashJoin` vs `IxJoin`
+//! vs nested loop) are chosen by comparing cost estimates derived from
+//! table row counts and secondary-index selectivity
+//! ([`crate::index::ColumnIndex`]).
 //!
-//! Planning is conservative: any shape the pipelined executor cannot
-//! reproduce byte-for-byte — compound selects, FROM subqueries, non-equi
-//! join predicates, aggregates or unresolved columns in WHERE — makes
-//! [`lower`] return an `Err` with a human-readable reason, and the
-//! statement runs on the legacy interpreter instead. One *documented*
-//! divergence remains: a pushed-down sarg drops rows whose column is
-//! NULL (or fails the sarg) at scan time, so a *different* conjunct that
-//! would raise a runtime error on such a row under the legacy
-//! interpreter may not get the chance to. The planner-differential test
-//! suite pins the two executors against each other across the whole
-//! generated corpus to keep this theoretical gap from biting in
-//! practice.
+//! Pushdown only ever runs on fully resolved predicates. An unresolved
+//! column in WHERE, or one in a nested-loop ON that its join prefix does
+//! not resolve, turns pushdown off for the whole core, so every conjunct
+//! is evaluated per tuple in order and the `no such column` error fires
+//! on exactly the rows it always did. One divergence remains by design:
+//! a pushed-down sarg drops rows whose column is NULL (or fails the sarg)
+//! at scan time, so a *different*, resolved conjunct that would raise a
+//! runtime error on such a row (a subquery shape error, say) may not get
+//! the chance to. The golden-oracle differential suites pin the executor
+//! to the frozen interpreter output across the whole generated corpus.
 
-use crate::ast::{BinOp, Expr, FromClause, JoinKind, SelectStmt, TableRef};
+use crate::ast::{BinOp, CompoundOp, Expr, JoinKind, SelectCore, SelectItem, SelectStmt, TableRef};
 use crate::db::Database;
 use crate::error::SqlResult;
-use crate::exec::{contains_aggregate, equi_join_indices, ColBinding};
+use crate::exec::{self, contains_aggregate, equi_join_indices, ColBinding};
 use crate::index::ColumnIndex;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
-
 // ---------------- sargable predicates ----------------
 
 /// The operator of a sargable predicate.
@@ -73,9 +74,9 @@ pub(crate) struct Sarg {
 }
 
 impl Sarg {
-    /// Does `v` satisfy the predicate? Exactly equivalent to the legacy
-    /// interpreter's `truthiness() == Some(true)` on the original
-    /// conjunct (NULL and "false" both filter the row out).
+    /// Does `v` satisfy the predicate? Exactly equivalent to the
+    /// expression evaluator's `truthiness() == Some(true)` on the
+    /// original conjunct (NULL and "false" both filter the row out).
     pub(crate) fn matches(&self, v: &Value) -> bool {
         match &self.op {
             SargOp::Eq(k) => v.sql_eq(k) == Some(true),
@@ -180,12 +181,25 @@ fn fmt_key(v: &Value) -> String {
 
 // ---------------- plan structure ----------------
 
-/// How a stage's base table is read.
+/// Where a stage's rows come from.
+#[derive(Debug, Clone)]
+pub(crate) enum Source {
+    /// A base table: its canonical schema name, or the name as written
+    /// when the schema does not know it (reading it then raises the
+    /// `no such table` error).
+    Table(String),
+    /// A FROM subquery, materialised by running its own plan.
+    Subquery,
+}
+
+/// How a stage's base rows are read.
 #[derive(Debug, Clone)]
 pub(crate) enum Access {
     /// Read every row.
     FullScan,
-    /// Read only the rows matching a sarg through the column's index.
+    /// Read only the rows matching a sarg through the column's index. A
+    /// missing or unusable index at execution time degrades this to a
+    /// full scan that applies the sarg as a filter.
     IxScan(Sarg),
 }
 
@@ -200,7 +214,8 @@ pub(crate) enum JoinOp {
         /// Key offset local to this stage's table.
         right_key: usize,
     },
-    /// Probe this stage's secondary index once per accumulated tuple.
+    /// Probe this stage's secondary index once per accumulated tuple
+    /// (a hash join when the index is unusable at execution time).
     IxJoin {
         /// Key offset in the accumulated tuple (global layout index).
         left_key: usize,
@@ -211,13 +226,15 @@ pub(crate) enum JoinOp {
     },
     /// Nested-loop cross product (CROSS JOIN / comma join / ON-less).
     Cross,
+    /// Nested loop evaluating an arbitrary (non-equi) ON per pair.
+    Nested(Expr),
 }
 
 /// One FROM-chain stage of a physical plan.
 #[derive(Debug, Clone)]
 pub(crate) struct Stage {
-    /// Canonical schema table name.
-    pub(crate) table: String,
+    /// Where the rows come from.
+    pub(crate) source: Source,
     /// Binding name (alias or table name) in the layout.
     pub(crate) binding: String,
     /// Offset of this stage's first column in the global layout.
@@ -239,11 +256,10 @@ pub(crate) struct Stage {
 }
 
 /// One step of the ordered residual predicate chain, evaluated per
-/// output tuple with legacy three-valued-logic semantics.
+/// output tuple with three-valued-logic semantics.
 #[derive(Debug, Clone)]
 pub(crate) enum ResidualStep {
-    /// An arbitrary conjunct evaluated through the legacy expression
-    /// evaluator.
+    /// An arbitrary conjunct evaluated through the expression evaluator.
     Pred(Expr),
     /// A whole-conjunct `IN (SELECT ...)` or `[NOT] EXISTS (SELECT ...)`
     /// the executor can turn into a semi-join when the subquery turns
@@ -251,21 +267,33 @@ pub(crate) enum ResidualStep {
     Semi(Expr),
 }
 
-/// An executable physical plan for a single-core SELECT.
+/// The plan of one select core: its FROM + WHERE front half.
 #[derive(Debug, Clone)]
-pub(crate) struct PhysicalPlan {
-    /// FROM-chain stages, in join order.
+pub(crate) struct CorePlan {
+    /// The set operator joining this core to the ones before it (`None`
+    /// for the first core).
+    pub(crate) set_op: Option<CompoundOp>,
+    /// FROM-chain stages, in join order (empty for a FROM-less core).
     pub(crate) stages: Vec<Stage>,
     /// Ordered residual WHERE conjuncts.
     pub(crate) residual: Vec<ResidualStep>,
-    /// The joined row layout (identical to the legacy executor's).
+    /// WHERE holds an aggregate: execution fails once FROM is built.
+    pub(crate) where_aggregate: bool,
+    /// The joined row layout.
     pub(crate) layout: Vec<ColBinding>,
     /// Estimated tuples reaching the residual filter.
     pub(crate) est_out: f64,
 }
 
+/// An executable physical plan: one [`CorePlan`] per select core, run in
+/// order and combined by the statement's set operators.
+#[derive(Debug, Clone)]
+pub(crate) struct PhysicalPlan {
+    pub(crate) cores: Vec<CorePlan>,
+}
+
 /// Per-operator execution metrics captured by the pipelined executor;
-/// one entry per stage plus one for the residual filter.
+/// per core, one entry per stage plus one for the residual filter.
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
     /// Operator description (access path, join keys, chosen index).
@@ -278,17 +306,21 @@ pub struct OpStats {
     pub seeks: u64,
 }
 
-impl PhysicalPlan {
+impl CorePlan {
+    /// Number of [`OpStats`] entries this core reports.
+    pub(crate) fn n_ops(&self) -> usize {
+        self.stages.len() + 1
+    }
+
     /// Operator labels + estimates, in the order the executor reports
     /// actuals: one per stage, then the residual filter.
-    pub(crate) fn op_templates(&self) -> Vec<OpStats> {
-        let mut ops: Vec<OpStats> = Vec::with_capacity(self.stages.len() + 1);
+    fn op_templates(&self) -> Vec<OpStats> {
+        let mut ops: Vec<OpStats> = Vec::with_capacity(self.n_ops());
         for st in &self.stages {
             ops.push(OpStats {
                 label: st.describe(self),
                 est_rows: if st.join.is_some() { st.est_tuples } else { st.est_rows },
-                actual_rows: 0,
-                seeks: 0,
+                ..OpStats::default()
             });
         }
         let n_semi = self
@@ -296,59 +328,93 @@ impl PhysicalPlan {
             .iter()
             .filter(|s| matches!(s, ResidualStep::Semi(_)))
             .count();
-        let label = if self.residual.is_empty() {
+        let label = if self.where_aggregate {
+            "Residual (aggregate in WHERE)".to_owned()
+        } else if self.residual.is_empty() {
             "Residual (none)".to_owned()
         } else if n_semi > 0 {
             format!("Residual ({} conjuncts, {} semi-join)", self.residual.len(), n_semi)
         } else {
             format!("Residual ({} conjuncts)", self.residual.len())
         };
-        ops.push(OpStats { label, est_rows: self.est_out, actual_rows: 0, seeks: 0 });
+        ops.push(OpStats { label, est_rows: self.est_out, ..OpStats::default() });
         ops
     }
+}
 
-    /// Render the plan as an indented operator pipeline; when `ops` from
-    /// an execution are supplied, estimated and actual row counts are
-    /// shown side by side.
-    pub(crate) fn render(&self, ops: Option<&[OpStats]>) -> String {
-        let templates;
-        let ops = match ops {
-            Some(o) => o,
-            None => {
-                templates = self.op_templates();
-                &templates
-            }
-        };
+impl PhysicalPlan {
+    /// Number of [`OpStats`] entries an execution reports.
+    pub(crate) fn n_ops(&self) -> usize {
+        self.cores.iter().map(CorePlan::n_ops).sum()
+    }
+
+    /// Render the plan as indented operator pipelines, one per core;
+    /// when `actual` from an execution is supplied, estimated and actual
+    /// row counts are shown side by side.
+    pub(crate) fn render(&self, actual: Option<&[OpStats]>) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "physical plan: {} stage(s), {} residual conjunct(s)",
-            self.stages.len(),
-            self.residual.len()
-        );
-        for (i, op) in ops.iter().enumerate() {
-            let _ = write!(out, "{:indent$}-> {}", "", op.label, indent = 2 + 2 * i);
-            let _ = write!(out, "  [est≈{:.0}", op.est_rows.round());
-            let _ = write!(out, ", actual={}", op.actual_rows);
-            if op.seeks > 0 {
-                let _ = write!(out, ", seeks={}", op.seeks);
+        let mut offset = 0;
+        for core in &self.cores {
+            if let Some(op) = core.set_op {
+                let _ = writeln!(out, "{}", compound_name(op));
             }
-            let _ = writeln!(out, "]");
+            let _ = writeln!(
+                out,
+                "physical plan: {} stage(s), {} residual conjunct(s)",
+                core.stages.len(),
+                core.residual.len()
+            );
+            let mut depth = 0;
+            if core.stages.is_empty() {
+                let _ = writeln!(out, "  -> Unit (one zero-width row)");
+                depth = 1;
+            }
+            for (i, op) in core.op_templates().iter().enumerate() {
+                let got = actual.map(|a| &a[offset + i]);
+                let _ = write!(out, "{:indent$}-> {}", "", op.label, indent = 2 + 2 * (depth + i));
+                let _ = write!(out, "  [est≈{:.0}", op.est_rows.round());
+                if let Some(got) = got {
+                    let _ = write!(out, ", actual={}", got.actual_rows);
+                    if got.seeks > 0 {
+                        let _ = write!(out, ", seeks={}", got.seeks);
+                    }
+                }
+                let _ = writeln!(out, "]");
+            }
+            offset += core.n_ops();
         }
         out
     }
 }
 
+fn compound_name(op: CompoundOp) -> &'static str {
+    match op {
+        CompoundOp::Union => "UNION",
+        CompoundOp::UnionAll => "UNION ALL",
+        CompoundOp::Intersect => "INTERSECT",
+        CompoundOp::Except => "EXCEPT",
+    }
+}
+
 impl Stage {
-    fn describe(&self, plan: &PhysicalPlan) -> String {
-        let name = if self.binding.eq_ignore_ascii_case(&self.table) {
-            self.table.clone()
-        } else {
-            format!("{} AS {}", self.table, self.binding)
+    /// The stage's table name, or `None` for a FROM subquery.
+    pub(crate) fn table(&self) -> Option<&str> {
+        match &self.source {
+            Source::Table(t) => Some(t),
+            Source::Subquery => None,
+        }
+    }
+
+    fn describe(&self, plan: &CorePlan) -> String {
+        let name = match self.table() {
+            Some(t) if self.binding.eq_ignore_ascii_case(t) => t.to_owned(),
+            Some(t) => format!("{t} AS {}", self.binding),
+            None => format!("(subquery) AS {}", self.binding),
         };
-        let access = match &self.access {
-            Access::FullScan => format!("Scan {name}"),
-            Access::IxScan(s) => format!("IxScan {name} ({})", s.describe()),
+        let access = match (&self.access, &self.source) {
+            (Access::FullScan, Source::Table(_)) => format!("Scan {name}"),
+            (Access::FullScan, Source::Subquery) => format!("Materialize {name}"),
+            (Access::IxScan(s), _) => format!("IxScan {name} ({})", s.describe()),
         };
         let filters = if self.filters.is_empty() {
             String::new()
@@ -382,9 +448,13 @@ impl Stage {
                 "{kind}IxJoin {name} ON {}.{column} = {} (ix {}.{column}){filters}",
                 self.binding,
                 left(*left_key),
-                self.table
+                self.table().unwrap_or_default()
             ),
             Some(JoinOp::Cross) => format!("{kind}CrossJoin {name} ({access}{filters})"),
+            Some(JoinOp::Nested(on)) => format!(
+                "{kind}NestedLoop {name} ON {} ({access}{filters})",
+                crate::printer::print_expr(on)
+            ),
         }
     }
 }
@@ -475,24 +545,55 @@ fn extract_sarg(e: &Expr) -> Option<(usize, SargOp)> {
 /// Does the conjunct still contain an unresolved (raw) column reference?
 /// The binder leaves those raw so the runtime raises the exact
 /// `no such column` error — which pushdown could otherwise suppress by
-/// filtering every row out first, so such statements stay on the legacy
-/// interpreter.
+/// filtering rows out first.
 fn has_raw_column(e: &Expr) -> bool {
     e.any(&mut |n| matches!(n, Expr::Column { .. }))
 }
 
-/// Lower a bound single-core SELECT into a [`PhysicalPlan`], or explain
-/// why it must run on the legacy interpreter.
-pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'static str> {
-    if !stmt.compounds.is_empty() {
-        return Err("compound select");
-    }
-    let core = &stmt.core;
-    let from: &FromClause = core.from.as_ref().ok_or("no FROM clause")?;
+/// Does an ON expression (always left raw by the binder) reference a
+/// column its join prefix cannot resolve? Evaluating it then fails, and
+/// pushdown must not hide the rows it fails on.
+fn on_may_fail(on: &Expr, prefix: &[ColBinding]) -> bool {
+    on.any(&mut |n| match n {
+        Expr::Column { table, column, .. } => {
+            exec::resolve(prefix, table.as_deref(), column).is_err()
+        }
+        _ => false,
+    })
+}
 
+/// Output labels of a FROM subquery, from its bound first core. An
+/// unexpanded wildcard means the binder could not resolve the
+/// subquery's FROM or items, so running it fails and its columns never
+/// matter.
+fn subquery_labels(query: &SelectStmt) -> Vec<String> {
+    query
+        .core
+        .items
+        .iter()
+        .filter_map(|item| match item {
+            SelectItem::Expr { expr, alias } => {
+                Some(alias.clone().unwrap_or_else(|| exec::default_label(expr)))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Lower a bound SELECT into a [`PhysicalPlan`]: one [`CorePlan`] per
+/// select core.
+pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> PhysicalPlan {
+    let mut cores = vec![lower_core(db, &stmt.core, None)];
+    for (op, core) in &stmt.compounds {
+        cores.push(lower_core(db, core, Some(*op)));
+    }
+    PhysicalPlan { cores }
+}
+
+fn lower_core(db: &Database, core: &SelectCore, set_op: Option<CompoundOp>) -> CorePlan {
     // ---- stage skeletons + joined layout ----
     struct Proto {
-        table: String,
+        source: Source,
         binding: String,
         col_offset: usize,
         width: usize,
@@ -504,64 +605,74 @@ pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'
     let mut layout: Vec<ColBinding> = Vec::new();
     let mut protos: Vec<Proto> = Vec::new();
 
-    let push_table = |tref: &TableRef, layout: &mut Vec<ColBinding>| -> Result<Proto, &'static str> {
-        let TableRef::Named { name, alias, .. } = tref else {
-            return Err("subquery in FROM");
-        };
-        let info = db.schema.table(name).ok_or("unknown table")?;
-        let binding = alias.clone().unwrap_or_else(|| info.name.clone());
+    let push_table = |tref: &TableRef, layout: &mut Vec<ColBinding>| -> Proto {
         let col_offset = layout.len();
-        for c in &info.columns {
-            layout.push(ColBinding::new(binding.clone(), c.name.clone()));
+        let (source, binding, columns, n) = match tref {
+            TableRef::Named { name, alias, .. } => match db.schema.table(name) {
+                Some(info) => (
+                    Source::Table(info.name.clone()),
+                    alias.clone().unwrap_or_else(|| info.name.clone()),
+                    info.columns.iter().map(|c| c.name.clone()).collect(),
+                    db.rows(&info.name).map(|r| r.len()).unwrap_or(0),
+                ),
+                None => (Source::Table(name.clone()), name.clone(), Vec::new(), 0),
+            },
+            // a subquery's size is unknown until it runs; estimate small
+            TableRef::Subquery { query, alias } => {
+                (Source::Subquery, alias.clone(), subquery_labels(query), 1)
+            }
+        };
+        for c in &columns {
+            layout.push(ColBinding::new(binding.clone(), c.clone()));
         }
-        let n = db.rows(&info.name).map(|r| r.len()).map_err(|_| "missing table data")?;
-        Ok(Proto {
-            table: info.name.clone(),
+        Proto {
+            source,
             binding,
             col_offset,
-            width: info.columns.len(),
+            width: columns.len(),
             kind: JoinKind::Inner,
             join: None,
             n,
             sargs: Vec::new(),
-        })
+        }
     };
 
-    protos.push(push_table(&from.base, &mut layout)?);
-    for join in &from.joins {
-        let left_width = layout.len();
-        let mut proto = push_table(&join.table, &mut layout)?;
-        proto.kind = join.kind;
-        proto.join = Some(match &join.on {
-            None => JoinOp::Cross,
-            Some(on) => {
-                let (li, ri) = equi_join_indices(
-                    on,
-                    &layout[..left_width],
-                    &layout[left_width..],
-                )
-                .ok_or("non-equi join predicate")?;
-                // every equi join starts as a Hash op; the cost model
-                // below may upgrade it to IxJoin
-                JoinOp::Hash { left_key: li, right_key: ri }
-            }
-        });
-        protos.push(proto);
+    // Pushdown must not hide a row some predicate would fail on.
+    let mut pushdown = true;
+    if let Some(from) = &core.from {
+        protos.push(push_table(&from.base, &mut layout));
+        for join in &from.joins {
+            let left_width = layout.len();
+            let mut proto = push_table(&join.table, &mut layout);
+            proto.kind = join.kind;
+            proto.join = Some(match &join.on {
+                None => JoinOp::Cross,
+                Some(on) => {
+                    match equi_join_indices(on, &layout[..left_width], &layout[left_width..]) {
+                        // every equi join starts as a Hash op; the cost
+                        // model below may upgrade it to IxJoin
+                        Some((li, ri)) => JoinOp::Hash { left_key: li, right_key: ri },
+                        None => {
+                            pushdown &= !on_may_fail(on, &layout);
+                            JoinOp::Nested(on.clone())
+                        }
+                    }
+                }
+            });
+            protos.push(proto);
+        }
     }
 
     // ---- WHERE classification ----
     let mut residual: Vec<ResidualStep> = Vec::new();
+    let mut where_aggregate = false;
     if let Some(w) = &core.where_clause {
-        if contains_aggregate(w) {
-            return Err("aggregate in WHERE");
-        }
+        where_aggregate = contains_aggregate(w);
         let mut conjuncts = Vec::new();
         flatten_and(w, &mut conjuncts);
-        if conjuncts.iter().any(|c| has_raw_column(c)) {
-            return Err("unresolved column in WHERE");
-        }
+        pushdown &= !conjuncts.iter().any(|c| has_raw_column(c));
         for c in conjuncts {
-            if let Some((global_col, op)) = extract_sarg(c) {
+            if let Some((global_col, op)) = extract_sarg(c).filter(|_| pushdown) {
                 if let Some(k) = protos.iter().position(|p| {
                     global_col >= p.col_offset && global_col < p.col_offset + p.width
                 }) {
@@ -589,19 +700,23 @@ pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'
     let mut stages: Vec<Stage> = Vec::new();
     let mut est_tuples = 1.0_f64;
     for (k, proto) in protos.into_iter().enumerate() {
-        let Proto { table, binding, col_offset, width, kind, join, n, sargs } = proto;
+        let Proto { source, binding, col_offset, width, kind, join, n, sargs } = proto;
         let nf = n as f64;
         let log_n = (nf.max(2.0)).log2();
+        let index = |column: &str| match &source {
+            Source::Table(t) => db.index(t, column),
+            Source::Subquery => None,
+        };
 
         // selectivity of every pushed sarg combined, and the best
         // index-driving candidate
         let mut sel_all = 1.0_f64;
         let mut best: Option<(usize, f64)> = None; // (sarg idx, est rows out)
         for (i, s) in sargs.iter().enumerate() {
-            let ix = if s.indexable() { db.index(&table, &s.column) } else { None };
+            let ix = if s.indexable() { index(&s.column) } else { None };
             let sel = s.selectivity(ix.as_deref());
             sel_all *= sel;
-            if ix.is_some() && s.indexable() {
+            if ix.is_some() {
                 let est = nf * sel;
                 if best.map(|(_, b)| est < b).unwrap_or(true) {
                     best = Some((i, est));
@@ -611,32 +726,29 @@ pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'
         let est_rows = (nf * sel_all).max(0.0);
 
         // access path: index the best sarg when cheaper than a full scan
-        let pick_access = |sargs: &mut Vec<Sarg>| -> (Access, f64) {
-            if let Some((i, est)) = best {
-                if log_n + est < nf {
-                    let sarg = sargs.remove(i);
-                    return (Access::IxScan(sarg), log_n + est);
-                }
+        let pick_access = |sargs: &mut Vec<Sarg>| -> Access {
+            match best {
+                Some((i, est)) if log_n + est < nf => Access::IxScan(sargs.remove(i)),
+                _ => Access::FullScan,
             }
-            (Access::FullScan, nf)
         };
 
         let mut sargs = sargs;
         let (access, join) = match join {
             None => {
-                let (access, _) = pick_access(&mut sargs);
+                let access = pick_access(&mut sargs);
                 est_tuples = est_rows;
                 (access, None)
             }
-            Some(JoinOp::Cross) => {
-                let (access, _) = pick_access(&mut sargs);
+            Some(op @ (JoinOp::Cross | JoinOp::Nested(_))) => {
+                let access = pick_access(&mut sargs);
                 est_tuples *= est_rows.max(if kind == JoinKind::Left { 1.0 } else { 0.0 });
-                (access, Some(JoinOp::Cross))
+                (access, Some(op))
             }
             Some(JoinOp::Hash { left_key, right_key })
             | Some(JoinOp::IxJoin { left_key, right_key, .. }) => {
                 let column = layout[col_offset + right_key].column.clone();
-                let right_ix = db.index(&table, &column);
+                let right_ix = index(&column);
                 let fanout = right_ix
                     .as_deref()
                     .map(|ix| ix.len() as f64 / ix.distinct().max(1) as f64)
@@ -649,32 +761,26 @@ pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'
                         inner
                     }
                 };
-                let (hash_access_cost, _) = match best {
-                    Some((_, est)) if log_n + est < nf => (log_n + est, ()),
-                    _ => (nf, ()),
+                let hash_access_cost = match best {
+                    Some((_, est)) if log_n + est < nf => log_n + est,
+                    _ => nf,
                 };
                 let hash_cost = hash_access_cost + est_rows + est_tuples + est_out;
                 let ix_cost = est_tuples * (log_n + fanout) + est_out;
                 let use_ix = right_ix.is_some() && ix_cost < hash_cost;
-                let op = if use_ix {
+                est_tuples = est_out;
+                if use_ix {
                     // the index probe IS the access path; remaining sargs
                     // filter candidates per probe
-                    JoinOp::IxJoin { left_key, right_key, column }
+                    (Access::FullScan, Some(JoinOp::IxJoin { left_key, right_key, column }))
                 } else {
-                    JoinOp::Hash { left_key, right_key }
-                };
-                let access = if use_ix {
-                    Access::FullScan
-                } else {
-                    pick_access(&mut sargs).0
-                };
-                est_tuples = est_out;
-                (access, Some(op))
+                    (pick_access(&mut sargs), Some(JoinOp::Hash { left_key, right_key }))
+                }
             }
         };
 
         stages.push(Stage {
-            table,
+            source,
             binding,
             col_offset,
             width,
@@ -687,28 +793,20 @@ pub(crate) fn lower(db: &Database, stmt: &SelectStmt) -> Result<PhysicalPlan, &'
         });
     }
 
-    Ok(PhysicalPlan { stages, residual, layout, est_out: est_tuples })
+    CorePlan { set_op, stages, residual, where_aggregate, layout, est_out: est_tuples }
 }
 
 // ---------------- EXPLAIN ----------------
 
 /// Render the physical plan chosen for `sql` against `db`, executing the
 /// statement once so estimated and actual per-operator row counts appear
-/// side by side. Statements the planner cannot lower report the reason
-/// they run on the legacy interpreter instead.
+/// side by side. A statement whose execution fails still prints its plan,
+/// followed by the error.
 pub fn explain(db: &Database, sql: &str) -> SqlResult<String> {
     let prepared = crate::prepare::prepare(db, sql)?;
-    let Some(plan) = prepared.physical() else {
-        return Ok(format!(
-            "legacy interpreter: {}\n",
-            prepared.why_legacy().unwrap_or("not a plannable statement")
-        ));
-    };
-    match crate::pipelined::execute(db, plan, prepared.statement())? {
-        None => Ok(
-            "legacy interpreter: a required index was unusable at execution time\n".to_owned()
-        ),
-        Some((rs, stats, ops)) => {
+    let plan = prepared.physical();
+    Ok(match exec::run(db, prepared.statement(), plan) {
+        Ok((rs, stats, ops)) => {
             let mut out = plan.render(Some(&ops));
             let _ = writeln!(
                 out,
@@ -716,9 +814,14 @@ pub fn explain(db: &Database, sql: &str) -> SqlResult<String> {
                 rs.rows.len(),
                 stats.rows_scanned
             );
-            Ok(out)
+            out
         }
-    }
+        Err(e) => {
+            let mut out = plan.render(None);
+            let _ = writeln!(out, "execution error: {e}");
+            out
+        }
+    })
 }
 
 #[cfg(test)]
@@ -731,7 +834,8 @@ mod tests {
         db.execute_script(
             "CREATE TABLE users (id INTEGER PRIMARY KEY, name TEXT, age INTEGER);
              CREATE TABLE orders (id INTEGER PRIMARY KEY, user_id INTEGER, amount REAL,
-                 FOREIGN KEY (user_id) REFERENCES users(id));",
+                 FOREIGN KEY (user_id) REFERENCES users(id));
+             CREATE TABLE empty (id INTEGER, note TEXT);",
         )
         .unwrap();
         let mut script = String::new();
@@ -752,21 +856,21 @@ mod tests {
         db
     }
 
-    fn lower_sql(db: &Database, sql: &str) -> Result<PhysicalPlan, &'static str> {
+    fn lower_sql(db: &Database, sql: &str) -> PhysicalPlan {
         let stmt = parse_select(sql).unwrap();
-        let bound = crate::prepare::prepare_stmt(db, stmt);
-        lower(db, bound.statement())
+        crate::prepare::prepare_stmt(db, stmt).physical().clone()
     }
 
     #[test]
     fn selective_eq_uses_index_scan() {
         let mut db = sample_db();
         db.ensure_default_indexes();
-        let plan = lower_sql(&db, "SELECT name FROM users WHERE id = 7").unwrap();
+        let plan = lower_sql(&db, "SELECT name FROM users WHERE id = 7");
+        let core = &plan.cores[0];
         assert!(
-            matches!(plan.stages[0].access, Access::IxScan(_)),
+            matches!(core.stages[0].access, Access::IxScan(_)),
             "expected IxScan, got {:?}",
-            plan.stages[0].describe(&plan)
+            core.stages[0].describe(core)
         );
     }
 
@@ -774,8 +878,8 @@ mod tests {
     fn unindexed_column_falls_back_to_scan() {
         let db = sample_db();
         // no explicit indexes: every access is a full scan
-        let plan = lower_sql(&db, "SELECT name FROM users WHERE age = 30").unwrap();
-        assert!(matches!(plan.stages[0].access, Access::FullScan));
+        let plan = lower_sql(&db, "SELECT name FROM users WHERE age = 30");
+        assert!(matches!(plan.cores[0].stages[0].access, Access::FullScan));
     }
 
     #[test]
@@ -785,12 +889,12 @@ mod tests {
         let plan = lower_sql(
             &db,
             "SELECT o.amount FROM users u JOIN orders o ON u.id = o.user_id WHERE u.id = 3",
-        )
-        .unwrap();
+        );
+        let core = &plan.cores[0];
         assert!(
-            matches!(plan.stages[1].join, Some(JoinOp::IxJoin { .. })),
+            matches!(core.stages[1].join, Some(JoinOp::IxJoin { .. })),
             "expected IxJoin, got {:?}",
-            plan.stages[1].describe(&plan)
+            core.stages[1].describe(core)
         );
     }
 
@@ -800,48 +904,52 @@ mod tests {
         db.ensure_default_indexes();
         // no filter: probing the index per tuple costs more than one
         // hash build over the right side
-        let plan = lower_sql(
-            &db,
-            "SELECT o.amount FROM users u JOIN orders o ON u.id = o.user_id",
-        )
-        .unwrap();
+        let plan = lower_sql(&db, "SELECT o.amount FROM users u JOIN orders o ON u.id = o.user_id");
+        let core = &plan.cores[0];
         assert!(
-            matches!(plan.stages[1].join, Some(JoinOp::Hash { .. })),
+            matches!(core.stages[1].join, Some(JoinOp::Hash { .. })),
             "expected HashJoin, got {:?}",
-            plan.stages[1].describe(&plan)
+            core.stages[1].describe(core)
         );
     }
 
     #[test]
-    fn pipelined_matches_legacy_rows() {
+    fn unresolved_where_column_disables_pushdown() {
         let mut db = sample_db();
         db.ensure_default_indexes();
+        let plan = lower_sql(&db, "SELECT name FROM users WHERE id = 7 AND ghost = 1");
+        let core = &plan.cores[0];
+        assert!(matches!(core.stages[0].access, Access::FullScan));
+        assert!(core.stages[0].filters.is_empty());
+        assert_eq!(core.residual.len(), 2, "every conjunct stays residual");
+    }
+
+    /// A plan lowered against indexes runs against the same data without
+    /// them: IxScan and IxJoin stages degrade to full scans and return
+    /// identical rows.
+    #[test]
+    fn dropped_index_degrades_to_full_scan() {
+        let plain = sample_db();
+        let mut indexed = sample_db();
+        indexed.ensure_default_indexes();
         let queries = [
             "SELECT name FROM users WHERE id = 7",
-            "SELECT name, age FROM users WHERE age > 60 ORDER BY name LIMIT 5",
+            "SELECT name, age FROM users WHERE id BETWEEN 10 AND 14 ORDER BY name",
             "SELECT u.name, o.amount FROM users u JOIN orders o ON u.id = o.user_id \
              WHERE u.id = 3 ORDER BY o.amount",
             "SELECT u.name, o.amount FROM users u LEFT JOIN orders o ON u.id = o.user_id \
-             WHERE u.age = 21 ORDER BY u.name, o.amount",
+             WHERE u.id IN (1, 3, 5) ORDER BY u.name, o.amount",
             "SELECT COUNT(*), AVG(o.amount) FROM users u JOIN orders o ON u.id = o.user_id \
-             WHERE u.age BETWEEN 30 AND 40",
-            "SELECT name FROM users WHERE id IN (1, 3, 5) ORDER BY name",
-            "SELECT name FROM users u WHERE EXISTS \
-             (SELECT 1 FROM orders o WHERE o.user_id = u.id AND o.amount > 1700.0) ORDER BY name",
-            "SELECT name FROM users WHERE id IN (SELECT user_id FROM orders WHERE amount < 10.0)",
+             WHERE u.id < 4",
         ];
         for sql in queries {
-            let stmt = parse_select(sql).unwrap();
-            let legacy = crate::exec::execute_select(&db, &stmt).unwrap();
-            let bound = crate::prepare::prepare_stmt(&db, stmt);
-            let plan = bound
-                .physical()
-                .unwrap_or_else(|| panic!("{sql}: not planned: {:?}", bound.why_legacy()));
-            let (rs, _, _) = crate::pipelined::execute(&db, plan, bound.statement())
-                .unwrap()
-                .expect("index unusable");
-            assert_eq!(rs.columns, legacy.columns, "{sql}");
-            assert_eq!(rs.rows, legacy.rows, "{sql}");
+            let prepared = crate::prepare::prepare(&indexed, sql).unwrap();
+            let plan = prepared.physical();
+            let (want, _, ops) = exec::run(&indexed, prepared.statement(), plan).unwrap();
+            assert!(ops.iter().any(|o| o.seeks > 0), "{sql}: plan drives no index");
+            let (got, _, ops) = exec::run(&plain, prepared.statement(), plan).unwrap();
+            assert!(ops.iter().all(|o| o.seeks == 0), "{sql}: a dropped index was probed");
+            assert_eq!(got, want, "{sql}");
         }
     }
 
@@ -867,12 +975,33 @@ mod tests {
         assert!(out.contains("IxJoin"), "missing IxJoin in:\n{out}");
         assert!(out.contains("actual="), "missing actuals in:\n{out}");
         assert!(out.contains("returned 3 row(s)"), "missing row count in:\n{out}");
-    }
 
-    #[test]
-    fn explain_reports_legacy_reason() {
-        let db = sample_db();
-        let out = explain(&db, "SELECT 1 UNION SELECT 2").unwrap();
-        assert!(out.starts_with("legacy interpreter:"), "got:\n{out}");
+        // every shape prints a plan, including the ones whose execution
+        // fails; none runs anywhere but the physical plan
+        let shapes = [
+            ("SELECT id FROM users WHERE id < 3 UNION SELECT user_id FROM orders WHERE id = 9", "UNION"),
+            ("SELECT id FROM users EXCEPT SELECT user_id FROM orders", "EXCEPT"),
+            ("SELECT s.n FROM (SELECT COUNT(*) AS n FROM orders) AS s", "Materialize (subquery) AS s"),
+            ("SELECT 1", "Unit"),
+            (
+                "SELECT u.name FROM users u LEFT JOIN orders o ON o.amount > u.age WHERE u.id = 1",
+                "LeftNestedLoop",
+            ),
+            ("SELECT id FROM empty WHERE ghost = 1", "returned 0 row(s)"),
+            ("SELECT id FROM users WHERE ghost = 1", "execution error: no such column: ghost"),
+            ("SELECT name FROM users WHERE COUNT(*) > 1", "Residual (aggregate in WHERE)"),
+            ("SELECT name FROM users WHERE id IN (SELECT user_id FROM orders)", "semi-join"),
+            (
+                "SELECT name FROM users u WHERE EXISTS \
+                 (SELECT 1 FROM orders o WHERE o.user_id = u.id AND o.amount > 1700.0)",
+                "semi-join",
+            ),
+        ];
+        for (sql, needle) in shapes {
+            let out = explain(&db, sql).unwrap();
+            assert!(out.starts_with("physical plan:"), "{sql}: no plan in:\n{out}");
+            assert!(out.contains(needle), "{sql}: missing {needle:?} in:\n{out}");
+            assert!(!out.contains("legacy"), "{sql}:\n{out}");
+        }
     }
 }

@@ -1,21 +1,22 @@
 //! Prepared statements: parse once, bind column references to row-layout
 //! slots, fold constant subtrees, and cache the resulting plans.
 //!
-//! The refine → execute → correct loop and the vote tie-break execute the
-//! same SQL against the same database many times; [`prepare`] moves all
-//! name resolution out of the per-row path. The binding pass is strictly
-//! best-effort and semantics-preserving: any reference it cannot resolve
-//! statically is left as a raw [`Expr::Column`] so execution produces the
-//! exact same results, errors, and `rows_scanned` counts as the
-//! unprepared interpreter.
+//! Every SELECT sqlkit runs is bound here first. The refine → execute →
+//! correct loop and the vote tie-break execute the same SQL against the
+//! same database many times; [`prepare`] moves all name resolution out of
+//! the per-row path, and the [`PlanCache`] keeps the result. The binding
+//! pass is strictly best-effort and semantics-preserving: any reference
+//! it cannot resolve statically is left as a raw [`Expr::Column`], which
+//! the evaluator resolves by name at run time, raising the exact
+//! `no such column` (or `ambiguous column`) error.
 //!
 //! What the binder does per SELECT core, mirroring the executor:
 //!
 //! 1. resolves the FROM layout (recursing into FROM subqueries),
 //! 2. freezes output labels (`AS` aliases are materialised, `*` and
 //!    `alias.*` are pre-expanded when the layout is known),
-//! 3. performs the GROUP BY / HAVING projection-alias substitution that
-//!    the executor would otherwise re-do on every execution,
+//! 3. performs the GROUP BY / HAVING projection-alias substitution (the
+//!    executor relies on it: it never substitutes at run time),
 //! 4. rewrites resolvable columns into [`Expr::BoundColumn`] (local slot)
 //!    or [`Expr::OuterColumn`] (correlated environment slot),
 //! 5. folds literal-only subtrees through [`eval_const`].
@@ -31,8 +32,8 @@ use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{self, eval_const, ExecStats};
 use crate::functions::is_aggregate_name;
-use crate::plan::PhysicalPlan;
-use crate::schema::DbSchema;
+use crate::plan::{OpStats, PhysicalPlan};
+use crate::schema::{DbSchema, TableInfo};
 use crate::value::{ResultSet, Value};
 use std::collections::HashMap;
 use osql_chk::atomic::{AtomicU64, Ordering};
@@ -89,13 +90,12 @@ pub fn plan_fingerprint(db: &Database) -> u64 {
 // ---------------- prepared statements ----------------
 
 /// A SELECT statement that went through the binding pass, carrying the
-/// physical plan the cost-based planner lowered it to (when it could).
+/// physical plan the cost-based planner lowered it to.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     stmt: SelectStmt,
     fingerprint: u64,
-    physical: Option<Arc<PhysicalPlan>>,
-    why_legacy: Option<&'static str>,
+    physical: PhysicalPlan,
 }
 
 impl Prepared {
@@ -110,20 +110,9 @@ impl Prepared {
         self.fingerprint
     }
 
-    /// The lowered physical plan, when the statement was plannable.
-    pub(crate) fn physical(&self) -> Option<&PhysicalPlan> {
-        self.physical.as_deref()
-    }
-
-    /// Why the statement runs on the legacy interpreter (when it does).
-    pub(crate) fn why_legacy(&self) -> Option<&'static str> {
-        self.why_legacy
-    }
-
-    /// Does this statement have a physical plan (as opposed to running
-    /// on the legacy interpreter)?
-    pub fn is_planned(&self) -> bool {
-        self.physical.is_some()
+    /// The lowered physical plan.
+    pub(crate) fn physical(&self) -> &PhysicalPlan {
+        &self.physical
     }
 
     /// Execute against `db`, which must have the schema the plan was
@@ -132,47 +121,21 @@ impl Prepared {
         self.execute_with_stats(db).map(|(rs, _)| rs)
     }
 
-    /// Execute against `db` on the legacy interpreter, also reporting
-    /// execution statistics. This path is pinned stat-for-stat against
-    /// raw execution by the prepared-differential suite; the plan cache
-    /// routes through the physical plan instead.
+    /// Execute against `db`, also reporting execution statistics.
     pub fn execute_with_stats(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats)> {
+        self.run(db).map(|(rs, stats, _)| (rs, stats))
+    }
+
+    /// Execute through the physical plan, also returning per-operator
+    /// actuals for the planner counters.
+    fn run(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats, Vec<OpStats>)> {
         if plan_fingerprint(db) != self.fingerprint {
             return Err(SqlError::Other(
                 "prepared statement executed against a different schema".into(),
             ));
         }
-        exec::execute_prepared_with_stats(db, &self.stmt)
+        exec::run(db, &self.stmt, &self.physical)
     }
-
-    /// Execute through the physical plan when one exists (falling back
-    /// to the legacy interpreter when it does not, or when an index the
-    /// plan needs is unusable at execution time). Returns the number of
-    /// index-driven operators that ran, for the planner counters.
-    fn execute_planned(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats, PlannedPath)> {
-        if plan_fingerprint(db) != self.fingerprint {
-            return Err(SqlError::Other(
-                "prepared statement executed against a different schema".into(),
-            ));
-        }
-        if let Some(plan) = &self.physical {
-            if let Some((rs, stats, ops)) = crate::pipelined::execute(db, plan, &self.stmt)? {
-                let ix_ops = ops.iter().map(|o| u64::from(o.seeks > 0)).sum();
-                return Ok((rs, stats, PlannedPath::Physical { ix_ops }));
-            }
-        }
-        let (rs, stats) = exec::execute_prepared_with_stats(db, &self.stmt)?;
-        Ok((rs, stats, PlannedPath::Legacy))
-    }
-}
-
-/// Which executor actually ran a plan-cache execution.
-enum PlannedPath {
-    /// The pipelined executor ran the physical plan; `ix_ops` operators
-    /// were index-driven.
-    Physical { ix_ops: u64 },
-    /// The legacy interpreter ran (no plan, or an unusable index).
-    Legacy,
 }
 
 /// Parse and bind a SELECT statement against `db`'s schema.
@@ -182,16 +145,25 @@ pub fn prepare(db: &Database, sql: &str) -> SqlResult<Prepared> {
 }
 
 /// Bind an already-parsed SELECT statement against `db`'s schema, then
-/// lower it to a physical plan when the pipelined executor can reproduce
-/// it byte for byte.
+/// lower it to a physical plan.
 pub fn prepare_stmt(db: &Database, mut stmt: SelectStmt) -> Prepared {
     let binder = Binder { schema: &db.schema };
     binder.bind_statement(&mut stmt, &[]);
-    let (physical, why_legacy) = match crate::plan::lower(db, &stmt) {
-        Ok(plan) => (Some(Arc::new(plan)), None),
-        Err(reason) => (None, Some(reason)),
-    };
-    Prepared { stmt, fingerprint: plan_fingerprint(db), physical, why_legacy }
+    let physical = crate::plan::lower(db, &stmt);
+    Prepared { stmt, fingerprint: plan_fingerprint(db), physical }
+}
+
+/// Bind an expression evaluated against one row of `table` (an UPDATE or
+/// DELETE clause), including the subqueries inside it.
+pub(crate) fn bind_row_expr(schema: &DbSchema, table: &TableInfo, e: &Expr) -> Expr {
+    let layout: Vec<BoundCol> = table
+        .columns
+        .iter()
+        .map(|c| BoundCol { binding: table.name.clone(), column: c.name.clone() })
+        .collect();
+    let mut e = e.clone();
+    Binder { schema }.bind_and_fold(&mut e, &Env { layout: &layout, chain: &[] });
+    e
 }
 
 // ---------------- the binding pass ----------------
@@ -293,9 +265,9 @@ impl Binder<'_> {
             None => Some(Vec::new()),
         };
         let Some(layout) = layout else {
-            // Some FROM reference is unresolvable: execution fails inside
-            // build_from before any of this core's expressions run, so
-            // leave them raw for identical errors.
+            // Some FROM reference is unresolvable: execution fails while
+            // resolving the FROM stages, before any of this core's
+            // expressions run, so leave them raw.
             return CoreInfo { layout: None, labels: None };
         };
         // Freeze output labels before binding mutates the expressions the
@@ -364,9 +336,8 @@ impl Binder<'_> {
             })
             .collect();
         let labels: Vec<String> = snapshot.iter().map(|(_, l)| l.clone()).collect();
-        // GROUP BY / HAVING projection-alias substitution, normally redone
-        // by project_grouped on every execution. The executor skips its
-        // runtime pass for prepared statements (substituting twice is not
+        // GROUP BY / HAVING projection-alias substitution. The executor
+        // never substitutes at run time (substituting twice is not
         // idempotent), so this must run for every core in the tree.
         core.group_by =
             core.group_by.iter().map(|g| exec::substitute_aliases(g, &snapshot)).collect();
@@ -595,9 +566,9 @@ pub struct PlanCacheStats {
     /// Executions that ran a physical plan with at least one
     /// index-driven operator (IxScan or IxJoin).
     pub ix_scans: u64,
-    /// Executions that fell back to a full scan: either the legacy
-    /// interpreter (unplannable statement or unusable index) or a
-    /// physical plan with no index-driven operator.
+    /// Executions whose physical plan ran no index-driven operator
+    /// (every stage scanned, including stages whose index was unusable
+    /// at execution time).
     pub fallback_scans: u64,
     /// Cumulative `rows_scanned` across plan-cache executions.
     pub rows_scanned: u64,
@@ -731,21 +702,17 @@ impl PlanCache {
     }
 
     /// Prepare (through the cache) and execute in one call, timing the
-    /// execute phase separately from the prepare phase. Execution is
-    /// *plan-aware*: statements with a physical plan run on the
-    /// pipelined executor, everything else on the legacy interpreter.
+    /// execute phase separately from the prepare phase.
     pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
         let (plan, hit, prepare_us) = self.prepared_inner(db, sql);
         let plan = plan?;
         let t0 = Instant::now();
-        let result = plan.execute_planned(db).map(|(rs, stats, path)| {
-            match path {
-                PlannedPath::Physical { ix_ops } if ix_ops > 0 => {
-                    self.ix_scans.fetch_add(ix_ops, Ordering::Relaxed);
-                }
-                _ => {
-                    self.fallback_scans.fetch_add(1, Ordering::Relaxed);
-                }
+        let result = plan.run(db).map(|(rs, stats, ops)| {
+            let ix_ops: u64 = ops.iter().map(|o| u64::from(o.seeks > 0)).sum();
+            if ix_ops > 0 {
+                self.ix_scans.fetch_add(ix_ops, Ordering::Relaxed);
+            } else {
+                self.fallback_scans.fetch_add(1, Ordering::Relaxed);
             }
             self.rows_scanned.fetch_add(stats.rows_scanned, Ordering::Relaxed);
             (rs, stats)
@@ -847,8 +814,6 @@ pub fn plan_cache() -> &'static PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_select_with_stats;
-    use crate::parser::parse_select;
 
     fn clinic() -> Database {
         let mut db = Database::new("clinic");
@@ -866,84 +831,29 @@ mod tests {
         db
     }
 
-    /// Raw and prepared execution must agree on results, errors, and the
-    /// rows_scanned cost proxy.
-    fn assert_identical(db: &Database, sql: &str) {
-        let raw = parse_select(sql)
-            .and_then(|stmt| execute_select_with_stats(db, &stmt));
-        let prepared = prepare(db, sql).and_then(|p| p.execute_with_stats(db));
-        match (raw, prepared) {
-            (Ok((rs_r, st_r)), Ok((rs_p, st_p))) => {
-                assert_eq!(rs_r, rs_p, "result mismatch for {sql:?}");
-                assert_eq!(st_r, st_p, "stats mismatch for {sql:?}");
-            }
-            (Err(er), Err(ep)) => {
-                assert_eq!(er.to_string(), ep.to_string(), "error mismatch for {sql:?}");
-            }
-            (r, p) => panic!("outcome mismatch for {sql:?}: raw={r:?} prepared={p:?}"),
-        }
-    }
-
     #[test]
-    fn prepared_matches_raw_on_core_queries() {
-        let db = clinic();
-        for sql in [
-            "SELECT Name FROM Patient WHERE City = 'Oslo'",
-            "SELECT * FROM Patient ORDER BY ID",
-            "SELECT P.* FROM Patient AS P WHERE P.ID > 1",
-            "SELECT T1.Name, T2.IGA FROM Patient AS T1 INNER JOIN Laboratory AS T2 \
-             ON T1.ID = T2.ID WHERE T2.IGA > 100 ORDER BY T2.IGA DESC",
-            "SELECT City, COUNT(*) AS n FROM Patient GROUP BY City HAVING n > 1",
-            "SELECT City AS c FROM Patient GROUP BY c ORDER BY 1",
-            "SELECT Name FROM Patient WHERE ID IN (SELECT ID FROM Laboratory WHERE IGA > 100)",
-            "SELECT Name FROM Patient AS P WHERE EXISTS \
-             (SELECT 1 FROM Laboratory AS L WHERE L.ID = P.ID AND L.IGA > 500)",
-            "SELECT Name, (SELECT MAX(IGA) FROM Laboratory WHERE Laboratory.ID = Patient.ID) \
-             FROM Patient",
-            "SELECT s.Name FROM (SELECT Name, City FROM Patient WHERE City IS NOT NULL) AS s \
-             WHERE s.City = 'Oslo'",
-            "SELECT Name FROM Patient WHERE Name LIKE 'A%'",
-            "SELECT City FROM Patient UNION SELECT Name FROM Patient ORDER BY 1 LIMIT 3",
-            "SELECT DISTINCT City FROM Patient ORDER BY City LIMIT 2 OFFSET 1",
-            "SELECT Name, CASE WHEN ID < 3 THEN 'lo' ELSE 'hi' END FROM Patient",
-            "SELECT group_concat(Name, '; ') FROM Patient WHERE City = 'Oslo'",
-            "SELECT `First Date` FROM Patient WHERE ID = 2",
-            "SELECT COUNT(*) FROM Patient WHERE 1 + 1 = 2",
-            "SELECT AVG(IGA) FROM Laboratory WHERE ID IN (1, 2, 3)",
-        ] {
-            assert_identical(&db, sql);
-        }
-    }
-
-    #[test]
-    fn prepared_matches_raw_on_errors() {
-        let db = clinic();
-        for sql in [
-            "SELECT Nope FROM Patient",
-            "SELECT ID FROM Ghost",
-            "SELECT ID FROM Patient AS a, Patient AS b WHERE ID = 1",
-            "SELECT * FROM Patient WHERE SUM(ID) > 1",
-        ] {
-            assert_identical(&db, sql);
-        }
-    }
-
-    #[test]
-    fn alias_shadowing_in_group_by_matches_raw() {
-        // `ghost` is both a projection alias and a real column chain:
-        // the substitution pass must behave exactly like the runtime one.
+    fn alias_shadowing_in_group_by() {
+        // `ghost` is both a projection alias and a real column: the binder
+        // substitutes GROUP BY aliases exactly once, as the executor never
+        // substitutes at run time.
         let mut db = Database::new("shadow");
         db.execute_script(
             "CREATE TABLE t (ghost INTEGER, v INTEGER);\
              INSERT INTO t VALUES (1, 10), (1, 20), (2, 30);",
         )
         .unwrap();
-        for sql in [
-            "SELECT ghost AS a, SUM(v) FROM t GROUP BY a",
-            "SELECT ghost AS a, 1 AS ghost, SUM(v) FROM t GROUP BY a",
-            "SELECT ghost AS ghost, SUM(v) FROM t GROUP BY ghost",
+        for (sql, want) in [
+            ("SELECT ghost AS a, SUM(v) FROM t GROUP BY a", vec![vec![1, 30], vec![2, 30]]),
+            (
+                "SELECT ghost AS a, 1 AS ghost, SUM(v) FROM t GROUP BY a",
+                vec![vec![1, 1, 30], vec![2, 1, 30]],
+            ),
+            ("SELECT ghost AS ghost, SUM(v) FROM t GROUP BY ghost", vec![vec![1, 30], vec![2, 30]]),
         ] {
-            assert_identical(&db, sql);
+            let rs = prepare(&db, sql).unwrap().execute(&db).unwrap();
+            let want: Vec<Vec<Value>> =
+                want.into_iter().map(|r| r.into_iter().map(Value::Int).collect()).collect();
+            assert_eq!(rs.rows, want, "{sql}");
         }
     }
 

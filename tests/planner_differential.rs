@@ -29,8 +29,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// cache — and the planner actually drives indexes on the way.
 #[test]
 fn corpus_gold_sql_matches_legacy_execution() {
-    let cases = golden::load_checked();
     let dbs = golden::Dbs::build();
+    let cases = golden::load_checked(&dbs);
     let cache = PlanCache::new(512);
     let ran = golden::run_sections(&cases, &dbs, &["gold"], |db, sql| {
         cache.execute(db, sql).map(|(rs, _)| rs)
@@ -43,8 +43,8 @@ fn corpus_gold_sql_matches_legacy_execution() {
 /// difficulty tier, plus the hand-written shapes section, same oracle.
 #[test]
 fn sampled_specs_match_legacy_execution() {
-    let cases = golden::load_checked();
     let dbs = golden::Dbs::build();
+    let cases = golden::load_checked(&dbs);
     let cache = PlanCache::new(512);
     golden::run_sections(&cases, &dbs, &["sampled", "shapes"], |db, sql| {
         cache.execute(db, sql).map(|(rs, _)| rs)

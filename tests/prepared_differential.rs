@@ -7,16 +7,13 @@
 //! execution statistics (rows_scanned feeds the vote tie-break and R-VES,
 //! so a drifting counter would silently change answers), and those rows
 //! — or that error — must be the frozen interpreter oracle's
-//! (`tests/golden`). Likewise, refining candidates on N threads must
-//! leave every deterministic report field of a pipeline run unchanged.
+//! (`tests/golden`).
 //!
 //! [`Prepared`]: sqlkit::Prepared
 
 mod golden;
 
-use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
 use sqlkit::{execute_select_with_stats, parse_select, Database, ResultSet, SqlResult};
-use std::sync::Arc;
 
 /// Execute `sql` one-shot, prepared and through `Database::query`,
 /// asserting identical outcomes, and return the shared outcome.
@@ -45,8 +42,8 @@ fn raw_matches_prepared(db: &Database, sql: &str) -> SqlResult<ResultSet> {
 /// runs identically raw and prepared, with the oracle's outcome.
 #[test]
 fn corpus_gold_sql_matches_raw_execution() {
-    let cases = golden::load_checked();
     let dbs = golden::Dbs::build();
+    let cases = golden::load_checked(&dbs);
     let ran = golden::run_sections(&cases, &dbs, &["gold"], raw_matches_prepared);
     assert!(ran >= 50, "corpus covered: {ran}");
 }
@@ -56,54 +53,7 @@ fn corpus_gold_sql_matches_raw_execution() {
 /// differential.
 #[test]
 fn sampled_specs_match_raw_execution() {
-    let cases = golden::load_checked();
     let dbs = golden::Dbs::build();
+    let cases = golden::load_checked(&dbs);
     golden::run_sections(&cases, &dbs, &["sampled", "shapes"], raw_matches_prepared);
-}
-
-/// A pipeline refining on one thread and one refining on several must
-/// produce identical runs, field for field, over the whole dev split.
-/// (Wall-clock ledger timings are the only nondeterministic fields and are
-/// excluded.)
-#[test]
-fn pipeline_runs_identical_across_refine_threads() {
-    let bench = Arc::new(datagen::generate(&datagen::Profile::tiny()));
-    let oracle = Arc::new(llmsim::Oracle::new(bench.clone()));
-    let llm = Arc::new(llmsim::SimLlm::new(oracle, llmsim::ModelProfile::gpt_4o(), 5));
-    let pre = Arc::new(Preprocessed::run(bench.clone(), llm.as_ref()));
-    let seq = Pipeline::new(pre.clone(), llm.clone(), PipelineConfig::fast());
-    let par = Pipeline::new(pre, llm, PipelineConfig::fast().with_refine_threads(3));
-    for ex in &bench.dev {
-        let a = seq.answer(&ex.db_id, &ex.question, &ex.evidence);
-        let b = par.answer(&ex.db_id, &ex.question, &ex.evidence);
-        assert_eq!(a.sql_g, b.sql_g, "{}", ex.question);
-        assert_eq!(a.sql_r, b.sql_r, "{}", ex.question);
-        assert_eq!(a.final_sql, b.final_sql, "{}", ex.question);
-        assert_eq!(a.winner, b.winner, "{}", ex.question);
-        assert_eq!(a.candidates.len(), b.candidates.len());
-        for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-            assert_eq!(ca.raw_sql, cb.raw_sql);
-            assert_eq!(ca.sql, cb.sql);
-            assert_eq!(ca.exec_cost, cb.exec_cost);
-            assert_eq!(ca.correction_rounds, cb.correction_rounds);
-            match (&ca.result, &cb.result) {
-                (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "{}", ex.question),
-                (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
-                _ => panic!("result class differs for {}", ex.question),
-            }
-        }
-        for m in opensearch_sql::Module::all() {
-            assert_eq!(a.ledger.get(m).tokens, b.ledger.get(m).tokens, "{m:?} tokens");
-            assert_eq!(a.ledger.get(m).calls, b.ledger.get(m).calls, "{m:?} calls");
-        }
-    }
-}
-
-/// Writes the oracle file from the AST interpreter. One-off: run once,
-/// with `OSQL_WRITE_ORACLE=<commit>`, at the commit the file freezes.
-#[test]
-#[ignore]
-fn write_interpreter_oracle() {
-    let commit = std::env::var("OSQL_WRITE_ORACLE").expect("set OSQL_WRITE_ORACLE=<commit>");
-    std::fs::write(golden::path(), golden::generate(&commit)).unwrap();
 }
