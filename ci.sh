@@ -22,13 +22,17 @@ done
 cargo build --release
 cargo test -q -p sqlkit          # fast gate: the SQL substrate everything sits on
 cargo test -q --test analyze_gold_clean  # corpus gate: analyzer silent on all gold SQL
-cargo test -q --test trace_shape # trace-determinism gate: two identical runs (and any
-                                 # refine thread count) render identical logical traces,
-                                 # timestamps and volatile events excluded
-cargo test -q --test planner_differential # planner gate: cost-based physical plans and the
-                                 # pipelined executor return byte-identical rows to the
-                                 # legacy interpreter (corpus gold SQL, sampled specs,
-                                 # paged round trips, index-set invalidation)
+cargo test -q --test trace_shape # trace-determinism gate: two identical runs render
+                                 # identical logical traces, timestamps and volatile
+                                 # events excluded
+# Planner gate: sqlkit's one SELECT executor (bind, lower, pipelined
+# FROM/WHERE, shared tail) must reproduce the frozen interpreter oracle
+# (tests/golden/interpreter_oracle.txt: corpus gold SQL, sampled specs,
+# hand-written shapes) row for row and error for error through the plan
+# cache and every one-shot entry point; the oracle loader fails on a
+# missing, empty, short or drifted file. Also paged round trips and
+# index-set invalidation.
+cargo test -q --test planner_differential --test prepared_differential
 
 # Store gate: the crash-recovery fault matrix (every-byte truncation +
 # corruption of the WAL, ~3.3k injection points), then pack a benchmark

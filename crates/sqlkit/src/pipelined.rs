@@ -146,6 +146,15 @@ pub(crate) fn drive(
         failure = Some(SqlError::MisusedAggregate("aggregate in WHERE clause".into()));
     }
 
+    // A failure while building FROM surfaces after the joins before it:
+    // when one of them is a nested loop, drive the built prefix first so
+    // a failing ON there reports instead.
+    let nested_before =
+        plan.stages[..sources.len()].iter().any(|st| matches!(st.join, Some(JoinOp::Nested(_))));
+    if let Some(e) = failure.take_if(|_| !nested_before) {
+        return Err(e);
+    }
+
     // ---- access paths and join machinery ----
     let stages: Vec<StageRt<'_>> = plan
         .stages
@@ -154,7 +163,6 @@ pub(crate) fn drive(
         .enumerate()
         .map(|(k, (st, rows))| build_stage(ctx, st, rows.slice(), &mut ops[k]))
         .collect();
-
     let mut mu = MutState {
         ops,
         semi: plan.residual.iter().map(|_| SemiState::Unknown).collect(),
@@ -162,17 +170,11 @@ pub(crate) fn drive(
         discard: failure.is_some(),
     };
     let mut buf: Vec<Value> = Vec::with_capacity(plan.layout.len());
-    if let Some(e) = failure {
-        // A failure while building FROM surfaces after the joins before
-        // it: drive the built prefix so a failing nested-loop ON there
-        // reports first.
-        if plan.stages[..stages.len()].iter().any(|st| matches!(st.join, Some(JoinOp::Nested(_)))) {
-            step(ctx, plan, &stages, &mut mu, 0, &mut buf)?;
-        }
-        return Err(e);
-    }
     step(ctx, plan, &stages, &mut mu, 0, &mut buf)?;
-    Ok(mu.out)
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(mu.out),
+    }
 }
 
 /// Does a stage row pass the stage's pushed predicates? `degraded` is
@@ -194,9 +196,11 @@ fn build_stage<'s>(
     let db = ctx.db;
     // a missing or unusable index degrades to a full scan that applies
     // the sarg itself
-    let (access_rids, degraded) = match (&st.access, st.table()) {
-        (Access::IxScan(sarg), Some(table)) => {
-            match db.index(table, &sarg.column).and_then(|ix| sarg.lookup(&ix)) {
+    let (access_rids, degraded) = match &st.access {
+        Access::FullScan => (None, None),
+        Access::IxScan(sarg) => {
+            let ix = st.table().and_then(|t| db.index(t, &sarg.column));
+            match ix.and_then(|ix| sarg.lookup(&ix)) {
                 Some(rids) => {
                     op.seeks += 1;
                     (Some(rids), None)
@@ -204,13 +208,13 @@ fn build_stage<'s>(
                 None => (None, Some(sarg)),
             }
         }
-        (Access::IxScan(sarg), None) => (None, Some(sarg)),
-        (Access::FullScan, _) => (None, None),
     };
     let scanned = access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
     let filtered = |access_rids: Option<Vec<u32>>| -> Vec<u32> {
         match access_rids {
-            Some(rids) => rids.into_iter().filter(|&rid| passes(st, None, &rows[rid as usize])).collect(),
+            Some(rids) => {
+                rids.into_iter().filter(|&rid| passes(st, None, &rows[rid as usize])).collect()
+            }
             None => (0..rows.len() as u32)
                 .filter(|&rid| passes(st, degraded, &rows[rid as usize]))
                 .collect(),
@@ -281,9 +285,9 @@ fn step(
     let st = &plan.stages[k];
     let rt = &stages[k];
     let descend = |ctx: &mut Ctx<'_>,
-                       mu: &mut MutState<'_>,
-                       buf: &mut Vec<Value>,
-                       row: Option<&Row>|
+                   mu: &mut MutState<'_>,
+                   buf: &mut Vec<Value>,
+                   row: Option<&Row>|
      -> SqlResult<()> {
         // `None` is the NULL pad of an unmatched LEFT JOIN tuple
         let base = buf.len();

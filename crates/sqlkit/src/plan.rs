@@ -28,7 +28,9 @@
 //! the chance to. The golden-oracle differential suites pin the executor
 //! to the frozen interpreter output across the whole generated corpus.
 
-use crate::ast::{BinOp, CompoundOp, Expr, JoinKind, SelectCore, SelectItem, SelectStmt, TableRef};
+use crate::ast::{
+    BinOp, CompoundOp, Expr, JoinKind, SelectCore, SelectItem, SelectStmt, TableRef,
+};
 use crate::db::Database;
 use crate::error::SqlResult;
 use crate::exec::{self, contains_aggregate, equi_join_indices, ColBinding};
@@ -36,6 +38,7 @@ use crate::index::ColumnIndex;
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
+
 // ---------------- sargable predicates ----------------
 
 /// The operator of a sargable predicate.
