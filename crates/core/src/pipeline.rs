@@ -123,7 +123,8 @@ impl Pipeline {
 
         // Refinement (alignments + correction per candidate). Each
         // candidate charges a private ledger and records a private
-        // sub-trace, merged in candidate index order.
+        // sub-trace, merged in candidate index order: the absorbed
+        // sub-trace is the trace shape the logical-trace gate pins.
         let stage = active::start("stage:refinement");
         let refinement_start = Instant::now();
         let mut candidates = Vec::with_capacity(generation.candidates.len());
