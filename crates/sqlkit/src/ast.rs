@@ -53,6 +53,18 @@ pub enum CompoundOp {
     Except,
 }
 
+impl CompoundOp {
+    /// The operator's SQL keywords.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            CompoundOp::Union => "UNION",
+            CompoundOp::UnionAll => "UNION ALL",
+            CompoundOp::Intersect => "INTERSECT",
+            CompoundOp::Except => "EXCEPT",
+        }
+    }
+}
+
 /// The `SELECT ... FROM ... WHERE ... GROUP BY ... HAVING ...` core.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SelectCore {

@@ -316,10 +316,11 @@ impl Database {
             .data
             .get_mut(&info.name.to_lowercase())
             .expect("data bucket exists for every schema table");
+        let mut eval = crate::exec::RowEval::new(&snapshot, &info);
         let mut changed = 0usize;
         for row in rows.rows.iter_mut() {
             let hit = match &where_clause {
-                Some(w) => crate::exec::eval_in_row(&snapshot, &info, row, w)?
+                Some(w) => eval.eval(row, w)?
                     .truthiness()
                     == Some(true),
                 None => true,
@@ -329,7 +330,7 @@ impl Database {
             }
             let new_vals: Vec<Value> = targets
                 .iter()
-                .map(|(_, e, _)| crate::exec::eval_in_row(&snapshot, &info, row, e))
+                .map(|(_, e, _)| eval.eval(row, e))
                 .collect::<SqlResult<_>>()?;
             for ((idx, _, ty), v) in targets.iter().zip(new_vals) {
                 row[*idx] = apply_affinity(v, *ty);
@@ -357,13 +358,14 @@ impl Database {
             .get_mut(&info.name.to_lowercase())
             .expect("data bucket exists for every schema table");
         let before = rows.rows.len();
+        let mut eval = crate::exec::RowEval::new(&snapshot, &info);
         let mut err = None;
         rows.rows.retain(|row| {
             if err.is_some() {
                 return true;
             }
             match &where_clause {
-                Some(w) => match crate::exec::eval_in_row(&snapshot, &info, row, w) {
+                Some(w) => match eval.eval(row, w) {
                     Ok(v) => v.truthiness() != Some(true),
                     Err(e) => {
                         err = Some(e);
@@ -652,6 +654,20 @@ mod tests {
         db.execute_script("UPDATE person SET age = (SELECT MAX(age) FROM person)").unwrap();
         let rs = db.query("SELECT DISTINCT age FROM person").unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(41)]]);
+    }
+
+    #[test]
+    fn correlated_subqueries_vary_per_row_within_one_statement() {
+        let mut db = db();
+        // one evaluator serves every row; correlated results must not be
+        // memoised across them
+        db.execute_script(
+            "UPDATE person SET age = (SELECT COUNT(*) FROM person p WHERE p.id <= person.id);\
+             DELETE FROM person WHERE EXISTS (SELECT 1 FROM person p WHERE p.age > person.age)",
+        )
+        .unwrap();
+        let rs = db.query("SELECT id, age FROM person").unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(3), Value::Int(3)]]);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::error::{SqlError, SqlResult};
 use crate::functions::{call_scalar, is_aggregate_name};
 use crate::plan::{CorePlan, OpStats, PhysicalPlan};
 use crate::value::{NormValue, ResultSet, Row, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,22 +63,32 @@ pub(crate) fn run(
     Ok((rs, ExecStats { rows_scanned: ctx.rows_scanned }, ops))
 }
 
-/// Evaluate an expression against a single table row (used by UPDATE and
-/// DELETE, which bind it first): the layout is the table's own columns,
-/// subqueries are allowed.
-pub fn eval_in_row(
-    db: &Database,
-    table: &crate::schema::TableInfo,
-    row: &[Value],
-    e: &Expr,
-) -> SqlResult<Value> {
-    let layout: Vec<ColBinding> = table
-        .columns
-        .iter()
-        .map(|c| ColBinding { binding: table.name.clone(), column: c.name.clone() })
-        .collect();
-    let mut ctx = Ctx::new(db);
-    eval_expr(&mut ctx, e, &layout, row)
+/// Evaluates expressions against the rows of one table — UPDATE's SET
+/// and WHERE, DELETE's WHERE, each bound first. The layout is the
+/// table's own columns and subqueries are allowed. One evaluator serves a
+/// whole statement, so each subquery is lowered once and an uncorrelated
+/// one runs once, not once per row.
+pub struct RowEval<'a> {
+    ctx: Ctx<'a>,
+    layout: Vec<ColBinding>,
+}
+
+impl<'a> RowEval<'a> {
+    /// An evaluator over `table`'s rows, reading other tables from `db`.
+    pub fn new(db: &'a Database, table: &crate::schema::TableInfo) -> Self {
+        let layout = table
+            .columns
+            .iter()
+            .map(|c| ColBinding { binding: table.name.clone(), column: c.name.clone() })
+            .collect();
+        RowEval { ctx: Ctx::new(db), layout }
+    }
+
+    /// Evaluate `e` against `row`. The expression borrows for `'a`
+    /// because the subquery memos are keyed by AST address.
+    pub fn eval(&mut self, row: &[Value], e: &'a Expr) -> SqlResult<Value> {
+        eval_expr(&mut self.ctx, e, &self.layout, row)
+    }
 }
 
 /// Evaluate an expression with no row context (literals only); used for
@@ -93,7 +104,11 @@ pub(crate) struct Ctx<'a> {
     pub(crate) db: &'a Database,
     pub(crate) rows_scanned: u64,
     depth: usize,
-    /// Memoised subquery results, keyed by AST node address. Only
+    /// Memoised subquery results, keyed by AST node address — sound
+    /// because every expression evaluated under a `Ctx` is borrowed from
+    /// the statement or a plan that outlives it (nothing evaluates a
+    /// temporary clone, whose freed address another subquery could
+    /// reuse). Only
     /// *uncorrelated* subqueries are cached: a nested SELECT that never
     /// reads the outer row evaluates to the same result every time, so
     /// evaluating it once per statement is a pure optimisation. Correlated
@@ -125,18 +140,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Was an outer (correlated) environment read since the flag was last
-    /// reset? See [`Ctx::set_used_outer`].
-    pub(crate) fn used_outer(&self) -> bool {
-        self.used_outer
-    }
-
-    /// Overwrite the correlation flag. The pipelined executor's semi-join
-    /// steps temporarily clear it, run one probe, read it to classify the
-    /// subquery as correlated or not, then OR the saved value back.
-    pub(crate) fn set_used_outer(&mut self, v: bool) {
-        self.used_outer = v;
-    }
 }
 
 const MAX_SUBQUERY_DEPTH: usize = 16;
@@ -367,7 +370,7 @@ pub(crate) fn project_filtered(
     let labels: Vec<String> = items.iter().map(|(_, l)| l.clone()).collect();
 
     // ORDER BY rewriting: alias / position references become item exprs
-    let order_exprs: Vec<OrderTarget> = order_by
+    let order_exprs: Vec<OrderTarget<'_>> = order_by
         .iter()
         .map(|o| resolve_order_target(&o.expr, &items))
         .collect();
@@ -414,14 +417,14 @@ pub(crate) fn project_filtered(
     Ok((ResultSet { columns: labels, rows: out_rows }, key_rows))
 }
 
-enum OrderTarget {
+enum OrderTarget<'a> {
     /// Evaluate this expression in the row/group context.
-    Expr(Expr),
+    Expr(&'a Expr),
     /// Use the n-th projected output value.
     Output(usize),
 }
 
-fn resolve_order_target(e: &Expr, items: &[(Expr, String)]) -> OrderTarget {
+fn resolve_order_target<'a>(e: &'a Expr, items: &[(Cow<'_, Expr>, String)]) -> OrderTarget<'a> {
     match e {
         Expr::Literal(Value::Int(k)) if *k >= 1 && (*k as usize) <= items.len() => {
             OrderTarget::Output(*k as usize - 1)
@@ -432,16 +435,16 @@ fn resolve_order_target(e: &Expr, items: &[(Expr, String)]) -> OrderTarget {
                 // aggregate aliases work too.
                 OrderTarget::Output(idx)
             } else {
-                OrderTarget::Expr(e.clone())
+                OrderTarget::Expr(e)
             }
         }
-        _ => OrderTarget::Expr(e.clone()),
+        _ => OrderTarget::Expr(e),
     }
 }
 
 fn eval_order_keys(
     ctx: &mut Ctx,
-    targets: &[OrderTarget],
+    targets: &[OrderTarget<'_>],
     layout: &[ColBinding],
     row: &[Value],
     projected: &[Value],
@@ -477,10 +480,13 @@ fn sort_with_keys(rows: &mut Vec<Row>, keys: &mut Vec<Vec<Value>>, order_by: &[O
     *keys = new_keys;
 }
 
-fn expand_items(
-    items: &[SelectItem],
+/// Expand the projection list against the row layout. Written items are
+/// borrowed, never cloned: the subquery memos in [`Ctx`] are keyed by AST
+/// address, so every expression evaluated under a `Ctx` must outlive it.
+fn expand_items<'a>(
+    items: &'a [SelectItem],
     layout: &[ColBinding],
-) -> SqlResult<Vec<(Expr, String)>> {
+) -> SqlResult<Vec<(Cow<'a, Expr>, String)>> {
     let mut out = Vec::with_capacity(items.len());
     for item in items {
         match item {
@@ -490,7 +496,7 @@ fn expand_items(
                 }
                 for b in layout {
                     out.push((
-                        Expr::qcol(b.binding.clone(), b.column.clone()),
+                        Cow::Owned(Expr::qcol(b.binding.clone(), b.column.clone())),
                         b.column.clone(),
                     ));
                 }
@@ -500,7 +506,7 @@ fn expand_items(
                 for b in layout {
                     if b.binding.eq_ignore_ascii_case(t) {
                         out.push((
-                            Expr::qcol(b.binding.clone(), b.column.clone()),
+                            Cow::Owned(Expr::qcol(b.binding.clone(), b.column.clone())),
                             b.column.clone(),
                         ));
                         found = true;
@@ -512,7 +518,7 @@ fn expand_items(
             }
             SelectItem::Expr { expr, alias } => {
                 let label = alias.clone().unwrap_or_else(|| default_label(expr));
-                out.push((expr.clone(), label));
+                out.push((Cow::Borrowed(expr), label));
             }
         }
     }
@@ -535,8 +541,8 @@ fn project_grouped(
     core: &SelectCore,
     layout: &[ColBinding],
     rows: Vec<Row>,
-    items: &[(Expr, String)],
-    order_exprs: &[OrderTarget],
+    items: &[(Cow<'_, Expr>, String)],
+    order_exprs: &[OrderTarget<'_>],
 ) -> SqlResult<(Vec<Row>, Vec<Vec<Value>>)> {
     // The binder already substituted projection aliases into GROUP BY
     // and HAVING.
@@ -1069,6 +1075,22 @@ pub(crate) fn exec_subquery(
     let result = exec_select(ctx, query);
     ctx.outer.pop();
     result
+}
+
+/// [`exec_subquery`], also reporting whether this run read an enclosing
+/// row — i.e. whether the subquery is correlated. The pipelined
+/// executor's semi-join steps classify a subquery on its first probe.
+pub(crate) fn exec_subquery_classified(
+    ctx: &mut Ctx<'_>,
+    query: &SelectStmt,
+    layout: &[ColBinding],
+    row: &[Value],
+) -> SqlResult<(Arc<ResultSet>, bool)> {
+    let saved = std::mem::replace(&mut ctx.used_outer, false);
+    let result = exec_subquery(ctx, query, layout, row);
+    let correlated = ctx.used_outer;
+    ctx.used_outer = saved || correlated;
+    Ok((result?, correlated))
 }
 
 fn apply_unary(op: UnaryOp, v: Value) -> SqlResult<Value> {
@@ -1614,6 +1636,33 @@ mod tests {
         assert_eq!(per_row[0], &Value::Real(300.0));
         assert_eq!(per_row[1], &Value::Real(90.0));
         assert!(rs.rows.iter().all(|r| r[1] == Value::Int(5)));
+    }
+
+    #[test]
+    fn distinct_subqueries_in_compound_cores_keep_their_own_plans() {
+        let db = clinic();
+        // each core's projection holds a different subquery, correlated
+        // or not; each must run its own plan and memo, never the other's
+        let col = |sql: &str| -> Vec<String> {
+            q(&db, sql).rows.iter().map(|r| r[0].to_string()).collect()
+        };
+        assert_eq!(
+            col("SELECT (SELECT MAX(IGA) FROM Laboratory WHERE Laboratory.ID = Patient.ID) \
+                 FROM Patient UNION ALL \
+                 SELECT (SELECT Name FROM Patient WHERE Patient.ID = Laboratory.ID) FROM Laboratory"),
+            ["300.0", "90.0", "700.0", "NULL", "Ann", "Ann", "Bob", "Cal", "Dee"]
+        );
+        assert_eq!(
+            col("SELECT (SELECT COUNT(*) FROM Laboratory) FROM Patient \
+                 UNION SELECT (SELECT MAX(ID) FROM Patient) FROM Laboratory"),
+            ["5", "4"]
+        );
+        assert_eq!(
+            col("SELECT Name FROM Patient ORDER BY \
+                 (SELECT COUNT(*) FROM Laboratory WHERE Laboratory.ID = Patient.ID) DESC, \
+                 (SELECT MAX(LabID) FROM Laboratory WHERE Laboratory.ID = Patient.ID) DESC"),
+            ["Ann", "Dee", "Cal", "Bob"]
+        );
     }
 
     #[test]

@@ -210,14 +210,12 @@ fn build_stage<'s>(
         }
     };
     let scanned = access_rids.as_ref().map(|r| r.len()).unwrap_or(rows.len()) as u64;
+    // `degraded` is only ever set when there are no access rids
+    let keep = |&rid: &u32| passes(st, degraded, &rows[rid as usize]);
     let filtered = |access_rids: Option<Vec<u32>>| -> Vec<u32> {
         match access_rids {
-            Some(rids) => {
-                rids.into_iter().filter(|&rid| passes(st, None, &rows[rid as usize])).collect()
-            }
-            None => (0..rows.len() as u32)
-                .filter(|&rid| passes(st, degraded, &rows[rid as usize]))
-                .collect(),
+            Some(rids) => rids.into_iter().filter(keep).collect(),
+            None => (0..rows.len() as u32).filter(keep).collect(),
         }
     };
     let hash = |left_key: usize, right_key: usize, access_rids: Option<Vec<u32>>| {
@@ -450,11 +448,7 @@ fn eval_semi(
                 return Ok(Value::Null);
             }
             if matches!(state, SemiState::Unknown) {
-                let saved = ctx.used_outer();
-                ctx.set_used_outer(false);
-                let rs = exec::exec_subquery(ctx, query, layout, tuple)?;
-                let correlated = ctx.used_outer();
-                ctx.set_used_outer(saved || correlated);
+                let (rs, correlated) = exec::exec_subquery_classified(ctx, query, layout, tuple)?;
                 if rs.columns.len() != 1 {
                     return Err(SqlError::SubqueryShape(
                         "IN subquery must return a single column".into(),
@@ -504,11 +498,7 @@ fn eval_semi(
         }
         Expr::Exists { query, negated } => {
             if matches!(state, SemiState::Unknown) {
-                let saved = ctx.used_outer();
-                ctx.set_used_outer(false);
-                let rs = exec::exec_subquery(ctx, query, layout, tuple)?;
-                let correlated = ctx.used_outer();
-                ctx.set_used_outer(saved || correlated);
+                let (rs, correlated) = exec::exec_subquery_classified(ctx, query, layout, tuple)?;
                 if correlated {
                     *state = SemiState::Correlated;
                     return Ok(Value::Int(i64::from(rs.rows.is_empty() == *negated)));

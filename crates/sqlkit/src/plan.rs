@@ -359,7 +359,7 @@ impl PhysicalPlan {
         let mut offset = 0;
         for core in &self.cores {
             if let Some(op) = core.set_op {
-                let _ = writeln!(out, "{}", compound_name(op));
+                let _ = writeln!(out, "{}", op.keyword());
             }
             let _ = writeln!(
                 out,
@@ -387,15 +387,6 @@ impl PhysicalPlan {
             offset += core.n_ops();
         }
         out
-    }
-}
-
-fn compound_name(op: CompoundOp) -> &'static str {
-    match op {
-        CompoundOp::Union => "UNION",
-        CompoundOp::UnionAll => "UNION ALL",
-        CompoundOp::Intersect => "INTERSECT",
-        CompoundOp::Except => "EXCEPT",
     }
 }
 

@@ -46,13 +46,7 @@ pub fn print_select(stmt: &SelectStmt) -> String {
     let mut out = String::with_capacity(64);
     write_core(&mut out, &stmt.core);
     for (op, core) in &stmt.compounds {
-        let kw = match op {
-            CompoundOp::Union => "UNION",
-            CompoundOp::UnionAll => "UNION ALL",
-            CompoundOp::Intersect => "INTERSECT",
-            CompoundOp::Except => "EXCEPT",
-        };
-        let _ = write!(out, " {kw} ");
+        let _ = write!(out, " {} ", op.keyword());
         write_core(&mut out, core);
     }
     if !stmt.order_by.is_empty() {

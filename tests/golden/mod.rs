@@ -30,8 +30,6 @@
 //! a value is `n` (NULL), `i<int>`, `r<float, shortest round trip>` or
 //! `t<text>`, and text escapes `\`, tab, CR and LF.
 
-#![allow(dead_code)] // each suite uses a different subset of the helpers
-
 use datagen::{build::build_db, domain::themes, generator::sample_spec, Difficulty, RowScale};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,10 +64,6 @@ pub struct Case {
     pub db: String,
     pub sql: String,
     pub outcome: String,
-}
-
-pub fn path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interpreter_oracle.txt")
 }
 
 fn escape(s: &str) -> String {
@@ -107,7 +101,7 @@ fn encode_value(v: &Value) -> String {
 /// An execution outcome in the file's record form (without the `stmt`
 /// and `sql` lines). Floats compare by their exact bits this way, NaN
 /// included.
-pub fn outcome_of(outcome: &SqlResult<ResultSet>) -> String {
+fn outcome_of(outcome: &SqlResult<ResultSet>) -> String {
     match outcome {
         Err(e) => format!("error {}", escape(&e.to_string())),
         Ok(rs) => {
@@ -126,8 +120,8 @@ pub fn outcome_of(outcome: &SqlResult<ResultSet>) -> String {
 /// Load every frozen case. Panics — failing the calling test — when the
 /// file is missing, empty, malformed, or its header count disagrees with
 /// its records.
-pub fn load() -> Vec<Case> {
-    let path = path();
+fn load() -> Vec<Case> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/interpreter_oracle.txt");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("oracle file {} is missing: {e}", path.display()));
     let mut declared = None;

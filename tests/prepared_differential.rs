@@ -2,29 +2,26 @@
 //!
 //! The contract of `prepare` is *zero observable difference*: for every
 //! statement the corpus can produce, executing through a [`Prepared`]
-//! plan, through the one-shot `execute_select_with_stats` and through
-//! `Database::query` must return byte-identical rows **and** identical
-//! execution statistics (rows_scanned feeds the vote tie-break and R-VES,
-//! so a drifting counter would silently change answers), and those rows
-//! — or that error — must be the frozen interpreter oracle's
+//! plan, through the one-shot `execute_select` and through
+//! `Database::query` must return byte-identical rows or the same error,
+//! and that outcome must be the frozen interpreter oracle's
 //! (`tests/golden`).
 //!
 //! [`Prepared`]: sqlkit::Prepared
 
 mod golden;
 
-use sqlkit::{execute_select_with_stats, parse_select, Database, ResultSet, SqlResult};
+use sqlkit::{execute_select, parse_select, Database, ResultSet, SqlResult};
 
 /// Execute `sql` one-shot, prepared and through `Database::query`,
 /// asserting identical outcomes, and return the shared outcome.
 fn raw_matches_prepared(db: &Database, sql: &str) -> SqlResult<ResultSet> {
-    let raw = parse_select(sql).and_then(|stmt| execute_select_with_stats(db, &stmt));
-    let prepared = sqlkit::prepare(db, sql).and_then(|plan| plan.execute_with_stats(db));
+    let raw = parse_select(sql).and_then(|stmt| execute_select(db, &stmt));
+    let prepared = sqlkit::prepare(db, sql).and_then(|plan| plan.execute(db));
     let queried = db.query(sql);
     match (&raw, &prepared, &queried) {
-        (Ok((rs_raw, st_raw)), Ok((rs_pre, st_pre)), Ok(rs_q)) => {
+        (Ok(rs_raw), Ok(rs_pre), Ok(rs_q)) => {
             assert_eq!(rs_raw, rs_pre, "rows differ for {sql}");
-            assert_eq!(st_raw, st_pre, "exec stats differ for {sql}");
             assert_eq!(rs_raw, rs_q, "Database::query rows differ for {sql}");
         }
         (Err(e_raw), Err(e_pre), Err(e_q)) => {
@@ -35,7 +32,7 @@ fn raw_matches_prepared(db: &Database, sql: &str) -> SqlResult<ResultSet> {
             "outcome class differs for {sql}: raw={raw:?} prepared={prepared:?} query={queried:?}"
         ),
     }
-    raw.map(|(rs, _)| rs)
+    raw
 }
 
 /// Every gold SQL in the generated corpus (train and dev, every database)
