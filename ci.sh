@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The gate every change must pass: release build, fast engine gate, full
-# test suite, bench compilation, warnings-as-errors lint, concurrency
-# model checking, and the workspace source lint. Referenced from
-# README.md ("Install & build").
+# test suite, bench compilation, the benchmark's own build and tests,
+# warnings-as-errors lint, concurrency model checking, and the workspace
+# source lint. Referenced from README.md ("Install & build").
 #
 # Flags:
 #   --sanitize   additionally run the concurrency-sensitive test suites
@@ -111,6 +111,15 @@ done
 
 cargo test -q
 cargo bench --no-run             # benches must always compile
+
+# Benchmark gate: perfbench (the repository benchmark named in
+# BENCHMARK.json) is a workspace of its own that builds the crates
+# through path dependencies. Testing it in release builds the benchmark
+# binary too, so a crate API change that breaks it fails here, and
+# --locked fails on a dependency change that would rewrite
+# perfbench/Cargo.lock.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 cargo clippy -p osql-store --all-targets -- -D warnings
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -93,8 +93,8 @@ pub(crate) fn profile_for(name: &str, scale: f64) -> Profile {
 
 /// Lint one SQL string against a world database: run the static analyzer
 /// and render its findings with rustc-style caret frames. Returns the
-/// report and whether any error-severity finding (or a proven execution
-/// failure) was found.
+/// report and whether any error-severity finding was found (a parse
+/// failure is the `E0001` error).
 pub fn lint_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
     let benchmark = datagen::generate(&profile_for(&opts.profile, opts.scale));
     let Some(db) = benchmark.dbs.iter().find(|d| d.id == db_id) else {
@@ -102,18 +102,13 @@ pub fn lint_sql(opts: &ServeOptions, db_id: &str, sql: &str) -> (String, bool) {
         return (format!("unknown database: {db_id} (available: {})", known.join(", ")), true);
     };
     let analysis = sqlkit::analyze_sql(&db.database.schema, sql);
-    let mut out = if analysis.diagnostics.is_empty() {
+    let out = if analysis.diagnostics.is_empty() {
         format!("{sql}
   clean: no findings")
     } else {
         analysis.rendered(sql)
     };
-    if let Some(err) = &analysis.certain_error {
-        let _ = write!(out, "
-
-execution is certain to fail: {err}");
-    }
-    (out, analysis.has_errors() || analysis.rejects())
+    (out, analysis.has_errors())
 }
 
 /// Explain one SQL string against a world database: render the physical

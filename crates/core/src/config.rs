@@ -70,15 +70,6 @@ pub struct PipelineConfig {
     pub retrieval_top_k: usize,
     /// Maximum correction rounds per candidate.
     pub max_correction_rounds: usize,
-    /// Gate candidate execution on the static analyzer: when analysis
-    /// proves the exact error a candidate must fail with, skip the
-    /// execution and feed the richer diagnostic to correction instead.
-    #[serde(default = "default_true")]
-    pub analyze_gate: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl Default for PipelineConfig {
@@ -102,7 +93,6 @@ impl Default for PipelineConfig {
             retrieval_threshold: 0.65,
             retrieval_top_k: 5,
             max_correction_rounds: 2,
-            analyze_gate: default_true(),
         }
     }
 }
@@ -116,12 +106,6 @@ impl PipelineConfig {
     /// A light configuration for unit tests (few candidates).
     pub fn fast() -> Self {
         PipelineConfig { n_candidates: 3, ..Self::default() }
-    }
-
-    /// Disable the pre-execution static-analysis gate (ablation).
-    pub fn without_analyze_gate(mut self) -> Self {
-        self.analyze_gate = false;
-        self
     }
 
     /// Drop the whole Extraction stage (Table 4 row 2).

@@ -34,8 +34,8 @@ pub struct RefinedCandidate {
     pub exec_ms: f64,
     /// Number of correction rounds spent.
     pub correction_rounds: usize,
-    /// Executions skipped because the static analyzer proved the exact
-    /// error in advance (the pre-execution gate).
+    /// Executions skipped because the SQL did not parse: the parse error
+    /// is the one execution would return, so it stands in for the result.
     pub analyze_skips: usize,
 }
 
@@ -109,23 +109,19 @@ struct GateOutcome {
     ms: f64,
     /// Rendered analyzer findings (quote-sanitised for prompt embedding).
     note: Option<String>,
-    /// Execution was skipped: the analyzer proved the error.
+    /// Execution was skipped: the SQL does not parse.
     skipped: bool,
 }
 
-/// Run the statement through the static analyzer, then execute — unless
-/// the analyzer *proved* the exact error the execution must fail with, in
-/// which case the prediction substitutes for the execution byte-for-byte.
+/// Run the statement through the static analyzer, then execute it. The
+/// one exception is SQL that does not parse: execution would fail with
+/// the same parse error, so that error stands in for the result. Every
+/// other failure, diagnosed or not, is left to execution to report.
 fn analyze_and_execute(
     db: &sqlkit::Database,
     sql: &str,
-    config: &PipelineConfig,
     ledger: &mut CostLedger,
 ) -> GateOutcome {
-    if !config.analyze_gate {
-        let (result, cost, ms) = execute(db, sql);
-        return GateOutcome { result, cost, ms, note: None, skipped: false };
-    }
     let t0 = Instant::now();
     let analysis = sqlkit::analyze_sql(&db.schema, sql);
     let analyze_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -217,7 +213,7 @@ pub fn refine_candidate(
         effective_sql
     };
 
-    let gate = analyze_and_execute(&db.database, &sql, config, ledger);
+    let gate = analyze_and_execute(&db.database, &sql, ledger);
     let (mut result, mut cost, mut ms) = (gate.result, gate.cost, gate.ms);
     let mut note = gate.note;
     let mut skips = gate.skipped as usize;
@@ -292,7 +288,7 @@ pub fn refine_candidate(
                 align_note = None;
                 fixed
             };
-            let gate = analyze_and_execute(&db.database, &sql, config, ledger);
+            let gate = analyze_and_execute(&db.database, &sql, ledger);
             result = gate.result;
             cost = gate.cost;
             ms = gate.ms;

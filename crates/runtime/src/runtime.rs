@@ -815,9 +815,10 @@ fn worker_loop(
 }
 
 /// Analyzer activity for one run: executions the pre-execution gate
-/// skipped (`analyze_rejects_total`), plus the static-analysis findings on
-/// the chosen SQL — one `analyze_diags_total{code="E…"}` series per
-/// diagnostic code.
+/// skipped (`analyze_rejects_total`, which counts unparseable candidates:
+/// the parse error is the only one the gate treats as certain), plus the
+/// static-analysis findings on the chosen SQL — one
+/// `analyze_diags_total{code="E…"}` series per diagnostic code.
 fn record_analysis_metrics(
     metrics: &MetricsRegistry,
     pipeline: &opensearch_sql::Pipeline,

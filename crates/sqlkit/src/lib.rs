@@ -59,7 +59,7 @@ pub use db::Database;
 pub use error::{SqlError, SqlErrorKind, SqlResult};
 pub use exec::{execute_select, execute_select_with_stats, ExecStats};
 pub use index::{ColumnIndex, IndexDef};
-pub use parser::{parse_script, parse_select, parse_statement};
+pub use parser::{parse_script, parse_select, parse_statement, MAX_NESTING_DEPTH};
 pub use plan::explain;
 pub use prepare::{
     plan_cache, plan_fingerprint, prepare, prepare_stmt, schema_fingerprint, PlanCache,

@@ -192,7 +192,12 @@ fn write_expr(out: &mut String, e: &Expr, parent_prec: u8) {
         Expr::Unary { op, expr } => match op {
             UnaryOp::Neg => {
                 out.push('-');
+                let start = out.len();
                 write_expr(out, expr, 8);
+                // `--` would open a comment
+                if out[start..].starts_with('-') {
+                    out.insert(start, ' ');
+                }
             }
             UnaryOp::Not => {
                 out.push_str("NOT ");
@@ -471,6 +476,11 @@ mod tests {
         let printed = print_select(&ast);
         assert!(printed.contains("(a = 1 OR b = 2)"), "printed: {printed}");
         roundtrip(sql);
+    }
+
+    #[test]
+    fn double_negation_does_not_print_a_comment() {
+        roundtrip("SELECT - -x, - - -1 FROM t");
     }
 
     #[test]

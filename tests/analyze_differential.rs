@@ -1,70 +1,115 @@
 //! Differential tests for the static-analysis gate.
 //!
-//! Two contracts are checked here:
+//! The gate treats exactly one error as certain: the parser's. Two
+//! contracts are checked here:
 //!
-//! 1. **Soundness of certain rejects.** Whenever `analyze_sql` claims a
-//!    statement is *certain* to fail (`Analysis::certain_error`), actually
-//!    executing it must produce that exact error, byte for byte. The
-//!    refinement gate substitutes the predicted error for the execution
-//!    result, so any divergence would leak into correction prompts and
-//!    vote outcomes.
+//! 1. **Soundness of certain rejects.** When SQL does not parse,
+//!    `Analysis::certain_error` holds the parse error, and executing the
+//!    same SQL must produce that exact error, byte for byte. The
+//!    refinement gate substitutes it for the execution result, so any
+//!    divergence would leak into correction prompts and vote outcomes.
 //!
-//! 2. **Zero observable drift.** Running the pipeline with the gate on
-//!    and off must produce identical answers, candidate for candidate:
-//!    the gate may only skip executions whose outcome it already knows.
+//! 2. **Execution judges everything that parses.** A statement the
+//!    analyzer diagnoses with an error but that parses gets no certain
+//!    error: it runs, and execution reports the failure.
 
 use datagen::{generate, Profile};
 use llmsim::{ModelProfile, Oracle, SimLlm};
-use opensearch_sql::{Pipeline, PipelineConfig, Preprocessed};
+use opensearch_sql::{PipelineConfig, Preprocessed};
+use sqlkit::Severity;
 use std::sync::Arc;
 
-/// If the analyzer promises a certain failure, execution must fail with
-/// exactly that error. Returns whether a certain reject was exercised.
-fn assert_certain_matches_execution(db: &sqlkit::Database, sql: &str) -> bool {
+/// Unparseable SQL: the analyzer's certain error is the parser's, and
+/// execution fails with exactly it.
+fn assert_parse_error_matches_execution(db: &sqlkit::Database, sql: &str) {
+    let parsed = sqlkit::parse_select(sql);
+    assert!(parsed.is_err(), "mangled SQL must not parse: {sql:?}");
     let analysis = sqlkit::analyze_sql(&db.schema, sql);
-    let Some(predicted) = analysis.certain_error else {
-        return false;
-    };
+    let codes: Vec<&str> = analysis.diagnostics.iter().map(|d| d.code.as_str()).collect();
+    assert_eq!(codes, ["E0001"], "{sql:?}");
+    let predicted = analysis.certain_error.expect("a parse failure is certain");
+    assert_eq!(Some(&predicted), parsed.as_ref().err(), "{sql:?}");
     match db.query(sql) {
-        Ok(_) => panic!("analyzer promised failure but {sql:?} succeeded: {predicted}"),
+        Ok(_) => panic!("{sql:?} does not parse but executed"),
         Err(actual) => assert_eq!(
             predicted.to_string(),
             actual.to_string(),
             "predicted and actual errors differ for {sql:?}"
         ),
     }
-    true
 }
 
-/// Certain rejects predict execution errors byte-identically, across
-/// hand-built templates per schema table and mangled gold SQL.
+/// SQL that parses but must fail: the analyzer flags it with `code` at
+/// error severity, claims nothing certain, and execution fails.
+fn assert_left_to_execution(db: &sqlkit::Database, sql: &str, code: &str) {
+    let analysis = sqlkit::analyze_sql(&db.schema, sql);
+    assert!(
+        analysis.diagnostics.iter().any(|d| d.code == code && d.severity == Severity::Error),
+        "{sql:?} must be flagged {code}: {:?}",
+        analysis.diagnostics
+    );
+    assert!(analysis.certain_error.is_none(), "{sql:?} parses, so nothing is certain");
+    assert!(db.query(sql).is_err(), "{sql:?} must fail in execution");
+}
+
+/// Certain rejects predict execution errors byte-identically, over gold
+/// SQL mangled so that it no longer parses.
 #[test]
 fn certain_rejects_match_execution_errors() {
     let bench = generate(&Profile::tiny());
     let mut certains = 0usize;
+    for ex in bench.train.iter().chain(bench.dev.iter()) {
+        let db = &bench.db(&ex.db_id).expect("known db").database;
+        let gold = &ex.gold_sql;
+        let Some(pos) = gold.find("FROM ") else { continue };
+        for mangled in [
+            // a dangling comma opens the projection
+            gold.replacen("SELECT ", "SELECT , ", 1),
+            // FROM with no table
+            gold[..pos + 5].to_owned(),
+            // trailing garbage after a complete statement
+            format!("{gold} )"),
+            // an unterminated string literal
+            format!("{gold} WHERE '"),
+        ] {
+            assert_parse_error_matches_execution(db, &mangled);
+            certains += 1;
+        }
+    }
+    assert!(certains >= 200, "certain rejects exercised: {certains}");
+}
+
+/// Failures that only show once a statement runs — unknown tables,
+/// misplaced aggregates, set-operator arity, compound ORDER BY, LIMIT
+/// coercion, bad FROM-less calls — are diagnosed but left to execution.
+#[test]
+fn parseable_failures_are_left_to_execution() {
+    let bench = generate(&Profile::tiny());
+    let mut checked = 0usize;
 
     for built in bench.dbs.iter() {
         let db = &built.database;
         for table in db.schema.tables.iter().map(|t| t.name.clone()) {
-            for sql in [
-                format!("SELECT * FROM {table}zz"),
-                format!("SELECT COUNT(*) FROM {table} WHERE COUNT(*) > 1"),
-                format!("SELECT COUNT(*) FROM {table} UNION SELECT 1, 2"),
-                format!("SELECT COUNT(*) FROM {table} UNION SELECT 1 ORDER BY 5"),
-                format!("SELECT COUNT(*) FROM {table} LIMIT 'many'"),
+            for (sql, code) in [
+                (format!("SELECT * FROM {table}zz"), "E0101"),
+                (format!("SELECT COUNT(*) FROM {table} WHERE COUNT(*) > 1"), "E0201"),
+                (format!("SELECT COUNT(*) FROM {table} UNION SELECT 1, 2"), "E0206"),
+                (format!("SELECT COUNT(*) FROM {table} UNION SELECT 1 ORDER BY 5"), "E0205"),
+                (format!("SELECT COUNT(*) FROM {table} LIMIT 'many'"), "E0210"),
             ] {
-                certains += assert_certain_matches_execution(db, &sql) as usize;
+                assert_left_to_execution(db, &sql, code);
+                checked += 1;
             }
         }
-        // FROM-less scalar evaluation is unconditional, so bad calls are
-        // certain even without any table in scope.
-        for sql in ["SELECT lenght('abc')", "SELECT substr('abc')", "SELECT *"] {
-            certains += assert_certain_matches_execution(db, sql) as usize;
+        for (sql, code) in
+            [("SELECT lenght('abc')", "E0207"), ("SELECT substr('abc')", "E0207"), ("SELECT *", "E0209")]
+        {
+            assert_left_to_execution(db, sql, code);
+            checked += 1;
         }
     }
 
-    // Gold SQL with the first scanned table mangled must be a certain
-    // `no such table` — the scan happens before any row is produced.
+    // Gold SQL with the first scanned table mangled.
     for ex in bench.train.iter().chain(bench.dev.iter()) {
         let db = bench.db(&ex.db_id).expect("known db");
         let Some(pos) = ex.gold_sql.find("FROM ") else { continue };
@@ -80,14 +125,11 @@ fn certain_rejects_match_execution_errors() {
             table,
             &rest[table.len()..]
         );
-        assert!(
-            assert_certain_matches_execution(&db.database, &mangled),
-            "mangled scan must be a certain reject: {mangled}"
-        );
-        certains += 1;
+        assert_left_to_execution(&db.database, &mangled, "E0101");
+        checked += 1;
     }
 
-    assert!(certains >= 60, "certain rejects exercised: {certains}");
+    assert!(checked >= 60, "statements checked: {checked}");
 }
 
 struct Fixture {
@@ -109,13 +151,14 @@ fn fixture(seed: u64) -> Fixture {
     Fixture { benchmark, pre, llm }
 }
 
-/// Gating a certain-broken candidate skips its execution without changing
-/// any deterministic field of the refined result.
+/// Gating an unparseable candidate skips its execution, and the result
+/// refinement records is exactly what executing it returns. The skipped
+/// candidate's error still enters correction.
 #[test]
 fn gate_skips_execution_without_changing_outcome() {
     let f = fixture(31);
     let ex = &f.benchmark.dev[0];
-    let broken = "SELECT name FROM table_that_does_not_exist";
+    let broken = "SELECT name FROM patients WHERE (";
 
     let refine = |config: &PipelineConfig| {
         let mut ledger = opensearch_sql::CostLedger::new();
@@ -134,53 +177,23 @@ fn gate_skips_execution_without_changing_outcome() {
         )
     };
     let mut config = PipelineConfig::fast();
-    config.alignments = false; // keep the broken scan reaching the gate
+    config.alignments = false; // keep the broken SQL reaching the gate as written
+    config.correction = false;
     let gated = refine(&config);
-    let ungated = refine(&config.clone().without_analyze_gate());
+    let db = &f.pre.db(&ex.db_id).expect("known db").database;
+    let (executed, cost, _) = opensearch_sql::refinement::execute(db, broken);
 
-    assert!(gated.analyze_skips >= 1, "certain-broken candidate must be gated");
-    assert_eq!(ungated.analyze_skips, 0, "gate off records no skips");
-    assert_eq!(gated.sql, ungated.sql);
-    assert_eq!(gated.exec_cost, ungated.exec_cost);
-    assert_eq!(gated.correction_rounds, ungated.correction_rounds);
-    match (&gated.result, &ungated.result) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b),
+    assert_eq!(gated.analyze_skips, 1, "an unparseable candidate must be gated");
+    assert_eq!(gated.sql, broken);
+    assert_eq!(gated.exec_cost, cost);
+    assert_eq!(gated.correction_rounds, 0);
+    match (&gated.result, &executed) {
         (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-        _ => panic!("result class differs between gated and ungated refinement"),
+        other => panic!("both sides must fail to parse: {other:?}"),
     }
-}
 
-/// Whole-pipeline differential: gate on vs gate off over the dev split is
-/// byte-identical in every deterministic report field — the analyzer only
-/// removes executions, never changes answers or votes.
-#[test]
-fn pipeline_identical_with_and_without_gate() {
-    let f = fixture(37);
-    let on = Pipeline::new(f.pre.clone(), f.llm.clone(), PipelineConfig::fast());
-    let off = Pipeline::new(
-        f.pre.clone(),
-        f.llm.clone(),
-        PipelineConfig::fast().without_analyze_gate(),
-    );
-    for ex in &f.benchmark.dev {
-        let a = on.answer(&ex.db_id, &ex.question, &ex.evidence);
-        let b = off.answer(&ex.db_id, &ex.question, &ex.evidence);
-        assert_eq!(a.sql_g, b.sql_g, "{}", ex.question);
-        assert_eq!(a.sql_r, b.sql_r, "{}", ex.question);
-        assert_eq!(a.final_sql, b.final_sql, "{}", ex.question);
-        assert_eq!(a.winner, b.winner, "{}", ex.question);
-        assert_eq!(a.candidates.len(), b.candidates.len());
-        for (ca, cb) in a.candidates.iter().zip(&b.candidates) {
-            assert_eq!(ca.raw_sql, cb.raw_sql);
-            assert_eq!(ca.sql, cb.sql);
-            assert_eq!(ca.exec_cost, cb.exec_cost);
-            assert_eq!(ca.correction_rounds, cb.correction_rounds);
-            assert_eq!(cb.analyze_skips, 0, "gate off must record no skips");
-            match (&ca.result, &cb.result) {
-                (Ok(ra), Ok(rb)) => assert_eq!(ra, rb, "{}", ex.question),
-                (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
-                _ => panic!("result class differs for {}", ex.question),
-            }
-        }
-    }
+    config.correction = true;
+    let corrected = refine(&config);
+    assert!(corrected.analyze_skips >= 1);
+    assert!(corrected.correction_rounds >= 1, "a gated error still enters correction");
 }
